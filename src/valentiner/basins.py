@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projective import fs_distance
+from .hpoly import EquivariantMap, HPoly
 
 PALETTE = np.array([
     [230, 60, 50], [60, 140, 230], [70, 190, 90], [240, 190, 40],
@@ -50,150 +50,88 @@ class BasinGrid:
         }
 
 
-def _eval_components_real(components, pts):
-    """Evaluate map components at an (n, 3) real array, degree-19 real tables."""
-    from .hpoly import exps
-
-    d = components[0].degree
-    e = exps(d)
-    out = []
-    pw = [np.ones((d + 1, len(pts))) for _ in range(3)]
-    for v in range(3):
-        for p in range(1, d + 1):
-            pw[v][p] = pw[v][p - 1] * pts[:, v]
-    for c in components:
-        coeffs = c.coeffs.real
-        acc = np.zeros(len(pts))
-        nz = np.nonzero(np.abs(c.coeffs) > 0)[0]
-        for t in nz:
-            i, j, k = e[t]
-            acc += coeffs[t] * (pw[0][i] * pw[1][j] * pw[2][k])
-        out.append(acc)
-    return np.stack(out, axis=1)
+_MATCH_TOL = 1e-6         # Fubini-Study radius of an attractor's capture disc
+_CELL_BLOCK = 65536
 
 
-def _eval_components_complex(components, pts):
-    from .hpoly import exps
-
-    d = components[0].degree
-    e = exps(d)
-    out = []
-    pw = [np.ones((d + 1, len(pts)), dtype=complex) for _ in range(3)]
-    for v in range(3):
-        for p in range(1, d + 1):
-            pw[v][p] = pw[v][p - 1] * pts[:, v]
-    for c in components:
-        acc = np.zeros(len(pts), dtype=complex)
-        nz = np.nonzero(np.abs(c.coeffs) > 0)[0]
-        for t in nz:
-            i, j, k = e[t]
-            acc += c.coeffs[t] * (pw[0][i] * pw[1][j] * pw[2][k])
-        out.append(acc)
-    return np.stack(out, axis=1)
-
-
-def _match_attractors(pts, attractors, tol):
-    """Labels of nearest attractors within FS tolerance, else -1 (vectorized)."""
+def _match_attractors(pts, attractors):
+    """Labels of nearest attractors within _MATCH_TOL, else -1 (vectorized)."""
     p = pts / np.linalg.norm(pts, axis=1, keepdims=True)[:, :]
     a = attractors / np.linalg.norm(attractors, axis=1, keepdims=True)
     overlap = np.abs(np.conj(p) @ a.T if np.iscomplexobj(p) or np.iscomplexobj(a) else p @ a.T)
     best = np.argmax(overlap, axis=1)
-    good = overlap[np.arange(len(p)), best] > np.cos(tol)
+    good = overlap[np.arange(len(p)), best] > np.cos(_MATCH_TOL)
     out = np.where(good, best, -1)
     return out
 
 
-def render_rp2(reg, catalog, resolution=180, max_iter=200, extent=2.0, match_tol=1e-6,
-               chunk=65536, cell_transform=None, chart=None):
+def _iterate_to_attractors(emap, pts, attractors, pair_label, max_iter):
+    """Iterate emap from every point until it lands on an attractor.
+
+    Returns per-point pair labels (-1 where no attractor was reached within
+    max_iter) and the iteration at which each point was captured.  Points
+    go through _CELL_BLOCK at a time, which bounds the working arrays.
+    """
+    labels = np.full(len(pts), -1, dtype=np.int16)
+    iters = np.zeros(len(pts), dtype=np.uint16)
+    for lo in range(0, len(pts), _CELL_BLOCK):
+        z = pts[lo:lo + _CELL_BLOCK]
+        z = z / np.linalg.norm(z, axis=1, keepdims=True)
+        live = np.arange(lo, lo + len(z))
+        for k in range(max_iter):
+            z = emap.eval_many(z)
+            nrm = np.linalg.norm(z, axis=1, keepdims=True)
+            nrm[nrm == 0] = 1.0
+            z = z / nrm
+            if k % 3 == 2 or k == max_iter - 1:
+                m = _match_attractors(z, attractors)
+                hit = m >= 0
+                if np.any(hit):
+                    labels[live[hit]] = pair_label[m[hit]].astype(np.int16)
+                    iters[live[hit]] = k + 1
+                    z = z[~hit]
+                    live = live[~hit]
+                    if len(live) == 0:
+                        break
+    return labels, iters
+
+
+def render_rp2(reg, catalog, resolution=180, max_iter=200, extent=2.0, cell_transform=None):
     """Basins of the canonical degree-19 map on the real conic-swap plane."""
     from .slices import rp2_chart
 
-    chart = chart or rp2_chart(reg, catalog)
-    comps = reg.h19.components
+    chart = rp2_chart(reg, catalog)
+    # h19 has integer coefficients, so the real plane iterates in float64
+    h_real = EquivariantMap([HPoly(c.degree, c.coeffs.real.copy()) for c in reg.h19.components])
     xs = np.linspace(-extent, extent, resolution)
-    labels = np.full(resolution * resolution, -1, dtype=np.int16)
-    iters = np.zeros(resolution * resolution, dtype=np.uint16)
     t1, t2 = np.meshgrid(xs, xs)
     cells = np.stack([t1.ravel(), t2.ravel()], axis=1)
     if cell_transform is not None:
         cells = cells @ np.asarray(cell_transform).T
-    att = chart.attractor_points
-    pair = chart.pair_label
-    for lo in range(0, len(cells), chunk):
-        hi = min(lo + chunk, len(cells))
-        pts = chart.to_points(cells[lo:hi])
-        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        live = np.arange(hi - lo)
-        labs = np.full(hi - lo, -1, dtype=np.int16)
-        itcount = np.zeros(hi - lo, dtype=np.uint16)
-        for k in range(max_iter):
-            pts = _eval_components_real(comps, pts)
-            nrm = np.linalg.norm(pts, axis=1, keepdims=True)
-            nrm[nrm == 0] = 1.0
-            pts = pts / nrm
-            if k % 3 == 2 or k == max_iter - 1:
-                m = _match_attractors(pts, att, match_tol)
-                hit = m >= 0
-                if np.any(hit):
-                    labs[live[hit]] = pair[m[hit]].astype(np.int16)
-                    itcount[live[hit]] = k + 1
-                    pts = pts[~hit]
-                    live = live[~hit]
-                    if len(live) == 0:
-                        break
-        labels[lo:hi] = labs
-        iters[lo:hi] = itcount
+    labels, iters = _iterate_to_attractors(h_real, chart.to_points(cells), chart.attractor_points,
+                                           chart.pair_label, max_iter)
     return BasinGrid("rp2", resolution, extent,
                      labels.reshape(resolution, resolution),
                      iters.reshape(resolution, resolution), 5)
 
 
-def render_conic(reg, catalog, resolution=180, max_iter=200, extent=2.0, match_tol=1e-6,
-                 chunk=65536):
+def render_conic(reg, catalog, resolution=180, max_iter=200, extent=2.0):
     """Basins of the restricted map on the first barred conic, in the
     rational-parametrization chart."""
     from .slices import conic_slice
 
     sl = conic_slice(reg, catalog)
-    comps = reg.h19.components
     xs = np.linspace(-extent, extent, resolution)
     s1, s2 = np.meshgrid(xs, xs)
-    svals = (s1 + 1j * s2).ravel()
-    labels = np.full(len(svals), -1, dtype=np.int16)
-    iters = np.zeros(len(svals), dtype=np.uint16)
-    att = sl.vertices
-    pair = sl.pair_label
-    for lo in range(0, len(svals), chunk):
-        hi = min(lo + chunk, len(svals))
-        s = svals[lo:hi]
-        pts = np.stack([s * s, np.full_like(s, -sl.a_coef), sl.a_coef * s], axis=1)
-        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        live = np.arange(hi - lo)
-        labs = np.full(hi - lo, -1, dtype=np.int16)
-        itcount = np.zeros(hi - lo, dtype=np.uint16)
-        for k in range(max_iter):
-            pts = _eval_components_complex(comps, pts)
-            nrm = np.linalg.norm(pts, axis=1, keepdims=True)
-            nrm[nrm == 0] = 1.0
-            pts = pts / nrm
-            if k % 3 == 2 or k == max_iter - 1:
-                m = _match_attractors(pts, att, match_tol)
-                hit = m >= 0
-                if np.any(hit):
-                    labs[live[hit]] = pair[m[hit]].astype(np.int16)
-                    itcount[live[hit]] = k + 1
-                    pts = pts[~hit]
-                    live = live[~hit]
-                    if len(live) == 0:
-                        break
-        labels[lo:hi] = labs
-        iters[lo:hi] = itcount
+    s = (s1 + 1j * s2).ravel()
+    pts = np.stack([s * s, np.full_like(s, -sl.a_coef), sl.a_coef * s], axis=1)
+    labels, iters = _iterate_to_attractors(reg.h19, pts, sl.vertices, sl.pair_label, max_iter)
     return BasinGrid("conic", resolution, extent,
                      labels.reshape(resolution, resolution),
                      iters.reshape(resolution, resolution), 6)
 
 
-def render_line45(reg, catalog, resolution=180, max_iter=60, extent=2.0, match_tol=1e-6):
+def render_line45(reg, catalog, resolution=180, max_iter=60, extent=2.0):
     """Basins of the degree-15 restricted map on a mirror line (complex chart)."""
     from .slices import restricted_psi16
 

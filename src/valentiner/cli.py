@@ -4,6 +4,7 @@ basin rendering."""
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -38,13 +39,28 @@ def _parse_complex(s):
     return complex(float(re), float(im))
 
 
+def _join_negative_values(argv):
+    """`--y1 -0.5,0.2` as `--y1=-0.5,0.2`.
+
+    argparse reads a separate value that starts with '-' as an option
+    unless it is a plain negative number, which "re,im" never is.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--y1", "--y2", "--v") and re.match(r"-[\d.]", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def cmd_verify(args):
     from .equivariants import registry
     from .frames import bub_frame
     from .group import enumerate_group
     from .invariants import verify_relations
     from .orbits import special_orbits
-    from .projective import fs_distance, random_unit_points
+    from .projective import random_unit_points
 
     reg = registry()
     inv = reg.inv
@@ -91,7 +107,7 @@ def cmd_verify(args):
 
 
 def cmd_molien(args):
-    from .molien import exterior_molien, molien_series, quotient_degree_lists
+    from .molien import exterior_molien, quotient_degree_lists
 
     table = exterior_molien(args.group, args.max_degree)
     payload = {
@@ -245,7 +261,6 @@ def build_parser():
     p.add_argument("--y1", required=True, metavar="re,im")
     p.add_argument("--y2", required=True, metavar="re,im")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", choices=["std", "high"], default="std")
     p.add_argument("--cache-dir")
     p.add_argument("--out")
 
@@ -267,7 +282,7 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
@@ -288,7 +303,7 @@ def main(argv=None):
         if args.command == "basins":
             return cmd_basins(args)
     except Exception as e:  # surface failures as exit code 1 with a message
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     return 2
 

@@ -3,10 +3,10 @@
 Two scalar backends sit behind the same small interface: numpy complex128
 (the default) and mpmath arbitrary precision (used for the selector
 coefficient fit and for high-precision re-runs).  A :class:`Context` pins
-one backend together with the tolerances appropriate to it.
+one backend together with its working precision.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -14,12 +14,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Context:
-    """One computation context: scalar backend plus tolerances."""
+    """One computation context: scalar backend plus working precision."""
 
     precision: str = "std"          # "std" (binary64) or "high" (mpmath)
     dps: int = 50                   # mpmath digits, used when precision == "high"
-    rel_tol: float = 1e-9           # default relative tolerance for invariance checks
-    drop_tol: float = 1e-12         # coefficient drop threshold (relative to sup norm)
 
     @property
     def is_high(self):
@@ -68,20 +66,6 @@ class Context:
         return (1 + self.sqrt(5)) / 2
 
     @property
-    def eta(self):
-        """(3 + sqrt(15) i)/4."""
-        return (3 + self.sqrt(-15)) / 4
-
-    @property
-    def sqrt15i(self):
-        return self.sqrt(-15)
-
-    @property
-    def eps5(self):
-        """Primitive fifth root of unity."""
-        return self.exp_2pi_i(mpmath.mpf(1) / 5 if self.is_high else 0.2)
-
-    @property
     def cos36_pair(self):
         """The pair (c, s) = (sqrt((5+sqrt5)/10), sqrt((5-sqrt5)/10))."""
         s5 = self.sqrt(5)
@@ -92,4 +76,4 @@ CTX64 = Context()
 
 
 def high_context(dps=50):
-    return Context(precision="high", dps=dps, rel_tol=10.0 ** (-(dps - 10)), drop_tol=0.0)
+    return Context(precision="high", dps=dps)

@@ -9,19 +9,13 @@ common zero locus (the trajectory only approaches the attractor, and the
 polish lands the candidate pair on it before root selection).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllRestartsFailed, NotAConvergedCycle, ResidualTooLarge
+from .errors import AllRestartsFailed, NotAConvergedCycle
 from .projective import fs_distance, normalize_point
-
-
-def eval_monic(coeffs, u):
-    acc = u ** 6
-    for k, c in enumerate(coeffs):
-        acc += c * u ** (5 - k)
-    return acc
+from .resolvents import eval_monic
 
 
 def _newton_root(coeffs, u, steps=4):

@@ -17,15 +17,13 @@ coefficient against the published table, and any disagreements are
 reported rather than silently adopted.
 """
 
-import json
 from fractions import Fraction
 
 import numpy as np
 
 from . import exactpoly as xp
-from .context import CTX64
 from .errors import VanishingFailure
-from .hpoly import EquivariantMap, HPoly, grad_cross, identity_times, poly_divide_exact
+from .hpoly import EquivariantMap, HPoly, compose, grad_cross, identity_times
 from .invariants import exact_chain
 
 # promotions: (which cross map, F-power, Phi-power, Psi-power)
@@ -300,32 +298,6 @@ def registry():
 # --- the degree-25 companion map ----------------------------------------------
 
 
-def _compose_polys(p, maps):
-    """Substitute three equal-degree maps into the variables of p."""
-    d = p.degree
-    g = maps[0].degree
-    obj = p.is_object or any(m.is_object for m in maps)
-    one = np.array([1], dtype=object) if obj else np.array([1.0 + 0j])
-    pows = []
-    for m in maps:
-        ps = [HPoly(0, one)]
-        for _ in range(d):
-            ps.append(ps[-1] * m)
-        pows.append(ps)
-    out = HPoly(d * g, dtype=object if obj else np.complex128)
-    from .hpoly import exps
-
-    e = exps(d)
-    for t in range(len(e)):
-        c = p.coeffs[t]
-        if c == 0:
-            continue
-        i, j, k = (int(v) for v in e[t])
-        term = pows[0][i] * pows[1][j] * pows[2][k]
-        out.coeffs += c * term.coeffs
-    return out
-
-
 def build_k25(calibrate=True):
     """The degree-25 equivariant from the doubled conjugate gradient of F.
 
@@ -339,7 +311,7 @@ def build_k25(calibrate=True):
     inv_oct = build_invariants("octahedral")
     grad_f = inv_oct.F.grad()
     grad_f_bar = [HPoly(5, np.conj(g.coeffs)) for g in grad_f]
-    k_oct = [ _compose_polys(gb, grad_f) for gb in grad_f_bar ]
+    k_oct = [compose(gb, grad_f) for gb in grad_f_bar]
     fr = bub_frame()
     m = np.asarray(fr.to_octahedral, dtype=complex)
     minv = np.asarray(fr.from_octahedral, dtype=complex)

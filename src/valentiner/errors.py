@@ -11,20 +11,6 @@ class ZeroVector(ValentinerError):
     """A projective point was requested for a (numerically) zero vector."""
 
 
-class RankDeficient(ValentinerError):
-    """A linear fit or solve is underdetermined."""
-
-
-class Inconsistent(ValentinerError):
-    """An overdetermined linear system has residual above tolerance."""
-
-
-# --- polynomial algebra ---
-
-class NotDivisible(ValentinerError):
-    """Exact polynomial division left a residual above tolerance."""
-
-
 # --- group construction ---
 
 class ClosureOverflow(ValentinerError):
@@ -37,10 +23,6 @@ class OrbitSizeMismatch(ValentinerError):
 
 class NormalizationFailure(ValentinerError):
     """An anchor coefficient disagrees with its required value."""
-
-
-class IdentityViolation(ValentinerError):
-    """A polynomial identity among invariants failed its residual bound."""
 
 
 # --- Molien ---
@@ -91,10 +73,6 @@ class FitResidualTooLarge(ValentinerError):
 
 class NotAConvergedCycle(ValentinerError):
     """A claimed period-2 cycle fails the invariant-vanishing certificate."""
-
-
-class ResidualTooLarge(ValentinerError):
-    """A selected root does not annihilate its resolvent."""
 
 
 class AllRestartsFailed(ValentinerError):

@@ -73,9 +73,6 @@ class Q15:
     def __hash__(self):
         return hash((self.a, self.b))
 
-    def to_complex(self):
-        return complex(self.a) + 1j * complex(self.b) * 15 ** 0.5
-
     def __repr__(self):
         return f"Q15({self.a}, {self.b})"
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .context import CTX64
 from .errors import ClosureOverflow
-from .frames import bub_frame, frame_by_name
+from .frames import frame_by_name
 from .hpoly import HPoly
 
 PROJ_ORDER = 360
@@ -49,29 +49,12 @@ def bub_antilinear_octahedral(ctx=CTX64):
     ])
 
 
-def generators_in_frame(frame, ctx=CTX64):
-    """Conjugate the octahedral generators into the given frame."""
-    gens = generators_octahedral(ctx)
-    if frame.name == "octahedral":
-        return gens
-    m = np.asarray(frame.to_octahedral, dtype=complex)
-    minv = np.asarray(frame.from_octahedral, dtype=complex)
-    out = {}
-    for k, g in gens.items():
-        out[k] = minv @ np.asarray(g, dtype=complex) @ m
-    return out
-
-
 def bub_antilinear_in_frame(frame, ctx=CTX64):
     """bub as y -> K conj(y) in the given frame (x = M y)."""
     b = np.asarray(bub_antilinear_octahedral(ctx), dtype=complex)
     m = np.asarray(frame.to_octahedral, dtype=complex)
     minv = np.asarray(frame.from_octahedral, dtype=complex)
     return minv @ b @ np.conj(m)
-
-
-def apply_antilinear(k, x):
-    return k @ np.conj(np.asarray(x, dtype=complex))
 
 
 # --- closure ------------------------------------------------------------------
@@ -137,7 +120,7 @@ def _proj_order(m, tol=1e-7):
         p = p @ a
         s = p.ravel()[np.argmax(np.abs(p))]
         q = p / s
-        if np.max(np.abs(q - q[0, 0] * np.eye(3))) < tol and abs(abs(q[0, 0]) - 1) < tol:
+        if np.max(np.abs(q - q[0, 0] * np.eye(3))) < tol:
             return k
     return -1
 
@@ -208,19 +191,6 @@ def quad_to_gram(p):
             g[a, b] += c / 2
             g[b, a] += c / 2
     return g
-
-
-def gram_to_quad(g):
-    from .hpoly import HPoly
-
-    terms = {}
-    for a in range(3):
-        for b in range(3):
-            e = [0, 0, 0]
-            e[a] += 1
-            e[b] += 1
-            terms[tuple(e)] = terms.get(tuple(e), 0) + g[a, b]
-    return HPoly.from_terms(2, terms)
 
 
 def _inverse(m, ctx):

@@ -11,11 +11,7 @@ mpmath numbers (high-precision lane); the latter fall back to loops where
 numpy ufuncs do not apply.
 """
 
-import json
-
 import numpy as np
-
-from .errors import NotDivisible
 
 # --- monomial bookkeeping ----------------------------------------------------
 
@@ -23,6 +19,9 @@ _EXPS = {}
 _IDX = {}
 _MULTAB = {}
 _DIFFTAB = {}
+
+# entries per block of eval_many's power and monomial tables
+_EVAL_BLOCK = 1 << 16
 
 
 def n_monomials(d):
@@ -204,39 +203,35 @@ class HPoly:
         return complex(self.coeffs @ vals)
 
     def eval_many(self, pts):
-        """Values at an (n, 3) array of points (complex128 fast path)."""
-        pts = np.asarray(pts, dtype=complex)
-        e = exps(self.degree)
+        """Values at an (n, 3) array of points.
+
+        Works over the nonzero monomials only, in the dtype the points and
+        coefficients promote to (real points with real coefficients stay
+        float64, clongdouble coefficients stay clongdouble), one block of
+        points at a time so the power and monomial tables stay bounded.
+        """
+        pts = np.asarray(pts)
+        nz = np.flatnonzero(self.coeffs)
+        c = self.coeffs[nz]
+        e = exps(self.degree)[nz].T
         d = self.degree
-        pw = np.ones((3, d + 1, len(pts)), dtype=complex)
-        for v in range(3):
+        dtype = np.result_type(pts.dtype, c.dtype, np.float64)
+        out = np.empty(len(pts), dtype=dtype)
+        step = max(1, _EVAL_BLOCK // max(len(nz), 3 * (d + 1)))
+        for lo in range(0, len(pts), step):
+            x = np.asarray(pts[lo:lo + step].T, dtype=dtype, order="C")
+            pw = np.empty((3, d + 1, x.shape[1]), dtype=dtype)
+            pw[:, 0] = 1
             for p in range(1, d + 1):
-                pw[v, p] = pw[v, p - 1] * pts[:, v]
-        vals = pw[0][e[:, 0]] * pw[1][e[:, 1]] * pw[2][e[:, 2]]
-        return self.coeffs @ vals
+                np.multiply(pw[:, p - 1], x, out=pw[:, p])
+            out[lo:lo + step] = c @ (pw[0, e[0]] * pw[1, e[1]] * pw[2, e[2]])
+        return out
 
     def compose_linear(self, m):
         """P(M x) for a 3x3 matrix M, as an HPoly of the same degree."""
-        d = self.degree
         m = np.asarray(m)
         dtype = object if (self.is_object or m.dtype == object) else np.complex128
-        lin = [HPoly(1, np.array(m[r], dtype=dtype)) for r in range(3)]
-        pows = []
-        for r in range(3):
-            ps = [HPoly(0, np.array([1], dtype=dtype) if dtype is object else np.array([1.0 + 0j]))]
-            for _ in range(d):
-                ps.append(ps[-1] * lin[r])
-            pows.append(ps)
-        out = HPoly(d, dtype=dtype)
-        e = exps(d)
-        for t in range(len(e)):
-            c = self.coeffs[t]
-            if c == 0:
-                continue
-            i, j, k = (int(v) for v in e[t])
-            term = pows[0][i] * pows[1][j] * pows[2][k]
-            out.coeffs = out.coeffs + c * term.coeffs
-        return out
+        return compose(self, [HPoly(1, np.array(row, dtype=dtype)) for row in m])
 
     # serialization (schema shared with EquivariantMap)
 
@@ -264,8 +259,22 @@ class HPoly:
 
 # --- operations on polynomials -----------------------------------------------
 
-def poly_eval(p, x):
-    return p.eval(np.asarray(x, dtype=complex) if not isinstance(x, np.ndarray) else x)
+def compose(p, maps):
+    """p(g1, g2, g3): three equal-degree polynomials substituted for the variables of p."""
+    obj = p.is_object or any(g.is_object for g in maps)
+    one = HPoly(0, np.ones(1, dtype=object if obj else np.complex128))
+    pows = []
+    for g in maps:
+        ps = [one]
+        for _ in range(p.degree):
+            ps.append(ps[-1] * g)
+        pows.append(ps)
+    d = p.degree * maps[0].degree
+    out = np.zeros(n_monomials(d), dtype=one.coeffs.dtype)
+    for c, (i, j, k) in zip(p.coeffs, exps(p.degree)):
+        if c != 0:
+            out = out + c * (pows[0][i] * pows[1][j] * pows[2][k]).coeffs
+    return HPoly(d, out)
 
 
 def det3(rows):
@@ -323,151 +332,6 @@ def grad_cross(p, q):
     ])
 
 
-def divisor_matrix(d_poly, q_degree):
-    """Matrix of multiplication by d_poly from degree q_degree to the product degree."""
-    nd = d_poly.degree
-    tab = _mul_table(nd, q_degree)
-    m = np.zeros((n_monomials(nd + q_degree), n_monomials(q_degree)), dtype=np.complex128)
-    for a in range(n_monomials(nd)):
-        c = d_poly.coeffs[a]
-        if c != 0:
-            m[tab[a], np.arange(n_monomials(q_degree))] += c
-    return m
-
-
-_PERMTAB = {}
-
-
-def _perm_table(d, perm):
-    key = (d, perm)
-    if key not in _PERMTAB:
-        e = exps(d)
-        idx = monomial_index(d)
-        _PERMTAB[key] = np.array([idx[(int(r[perm[0]]), int(r[perm[1]]), int(r[perm[2]]))] for r in e])
-    return _PERMTAB[key]
-
-
-def permute_vars(p, perm):
-    """P with variables permuted: new x_i = old x_{perm[i]}."""
-    out = np.empty_like(p.coeffs)
-    out[_perm_table(p.degree, tuple(perm))] = p.coeffs
-    return HPoly(p.degree, out)
-
-
-_SHEAR_CANDIDATES = [
-    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, -1, 1), (1, 2, -1),
-    (2, 1, 1), (1, 1, -2), (3, -1, 2), (1, -2, 2), (2, -1, -1), (1, 3, 1),
-]
-
-
-def poly_divide_sheared(n_polys, d_poly, rel_tol=1e-8):
-    """Divide several numerators by one divisor, stabilized by a shear.
-
-    Lex reduction needs the divisor's leading pure-power coefficient to be
-    healthy; the degree-45 form vanishes on its 45 mirror lines, which can
-    exhaust all three coordinate directions.  A unimodular change moving a
-    direction where the divisor is large into first position fixes the
-    pivot; the quotients are sheared back.
-    """
-    d = d_poly.degree
-    sup = float(np.max(np.abs(d_poly.coeffs.astype(np.complex128))))
-    best, best_val = None, -1.0
-    for u in _SHEAR_CANDIDATES:
-        un = np.array(u, dtype=complex)
-        un = un / np.linalg.norm(un)
-        v = abs(complex(d_poly.eval(un))) / sup
-        if v > best_val:
-            best, best_val = u, v
-    if best == (1, 0, 0):
-        return [poly_divide_lex(n, d_poly, rel_tol) for n in n_polys]
-    u = np.array(best, dtype=np.clongdouble)
-    # complete to an invertible matrix with the best pair of basis columns
-    eye = np.eye(3, dtype=np.clongdouble)
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    dets = []
-    for i, j in pairs:
-        trial = np.stack([u, eye[i], eye[j]], axis=1)
-        dets.append(abs(np.linalg.det(trial.astype(np.complex128))))
-    i, j = pairs[int(np.argmax(dets))]
-    m = np.stack([u, eye[i], eye[j]], axis=1)
-    minv = np.linalg.inv(m.astype(np.complex128)).astype(n_polys[0].coeffs.dtype)
-    m = m.astype(n_polys[0].coeffs.dtype)
-    dm = d_poly.compose_linear(m)
-    out = []
-    for n in n_polys:
-        q = poly_divide_lex(n.compose_linear(m), dm, rel_tol)
-        out.append(q.compose_linear(minv))
-    return out
-
-
-def poly_divide_lex(n_poly, d_poly, rel_tol=1e-8):
-    """Quotient N / D by dense lex-ordered reduction (dtype preserving).
-
-    Works for any float dtype including longcomplex, which LAPACK-based
-    least squares cannot handle.  Terms whose leading monomial is not
-    reducible are parked and must all fall below rel_tol * |N| at the end.
-    """
-    qd = n_poly.degree - d_poly.degree
-    if qd < 0:
-        raise NotDivisible("divisor degree exceeds numerator degree")
-    dd = d_poly.degree
-    dvals = d_poly.coeffs
-    dsupn = float(np.max(np.abs(dvals.astype(np.complex128))))
-    lead_d = 0
-    while abs(dvals[lead_d]) < 1e-13 * dsupn:
-        lead_d += 1
-    if abs(dvals[lead_d]) < 1e-12 * dsupn:
-        raise NotDivisible("divisor leading coefficient too small for stable reduction")
-    e_lead = tuple(int(v) for v in exps(dd)[lead_d])
-    rem = n_poly.coeffs.copy()
-    scale = float(np.max(np.abs(rem.astype(np.complex128))))
-    if scale == 0:
-        return HPoly(qd, dtype=n_poly.coeffs.dtype)
-    drop = max(rel_tol, 1e-17) * scale * 1e-3
-    q = np.zeros(n_monomials(qd), dtype=rem.dtype)
-    qidx = monomial_index(qd)
-    tab = _mul_table(qd, dd)
-    dsup = np.nonzero(dvals)[0]
-    residual = np.zeros_like(rem)
-    en = exps(n_poly.degree)
-    for j in range(len(rem)):
-        c = rem[j]
-        if abs(c) <= drop:
-            continue
-        e = en[j]
-        eq = (int(e[0]) - e_lead[0], int(e[1]) - e_lead[1], int(e[2]) - e_lead[2])
-        if min(eq) < 0:
-            residual[j] = c
-            rem[j] = 0
-            continue
-        qi = qidx[eq]
-        fac = c / dvals[lead_d]
-        q[qi] += fac
-        rem[tab[qi, dsup]] -= fac * dvals[dsup]
-    res = float(np.max(np.abs(residual.astype(np.complex128)))) / scale
-    if res > rel_tol:
-        raise NotDivisible(f"lex division residual {res:.3e} exceeds {rel_tol:.1e}")
-    return HPoly(qd, q)
-
-
-def poly_divide_exact(n_poly, d_poly, rel_tol=1e-8):
-    """Quotient N / D when N is (numerically) divisible by D.
-
-    Solved as a least-squares problem over the quotient's coefficients;
-    raises NotDivisible when the relative residual exceeds rel_tol.
-    """
-    qd = n_poly.degree - d_poly.degree
-    if qd < 0:
-        raise NotDivisible("divisor degree exceeds numerator degree")
-    m = divisor_matrix(d_poly, qd)
-    sol, _, _, _ = np.linalg.lstsq(m, n_poly.coeffs.astype(np.complex128), rcond=None)
-    res = np.linalg.norm(m @ sol - n_poly.coeffs)
-    rel = res / max(np.linalg.norm(n_poly.coeffs), 1e-300)
-    if rel > rel_tol:
-        raise NotDivisible(f"division residual {rel:.3e} exceeds {rel_tol:.1e}")
-    return HPoly(qd, sol)
-
-
 # --- equivariant maps ----------------------------------------------------------
 
 class EquivariantMap:
@@ -519,10 +383,6 @@ class EquivariantMap:
     @classmethod
     def from_json_dict(cls, d):
         return cls([HPoly.from_json_dict(c) for c in d["components"]])
-
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f)
 
     def __repr__(self):
         return f"EquivariantMap(degree={self.degree})"

@@ -13,14 +13,14 @@ the integers (reference, built once) and dense complex HPoly objects
 substitution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import exactpoly as xp
 from .context import CTX64
-from .errors import IdentityViolation, NormalizationFailure
+from .errors import NormalizationFailure
 from .frames import bub_frame, frame_by_name
 from .group import conic_forms_octahedral, transport_conics
 from .hpoly import HPoly, monomial_index
@@ -99,16 +99,6 @@ class InvariantSystem:
     alpha_phi: float = float(ALPHA_PHI)
     alpha_psi: float = float(ALPHA_PSI)
     alpha_x: float = float(ALPHA_X)
-
-    def basic(self):
-        return self.F, self.Phi, self.Psi, self.X
-
-
-def _to_frame(exact_dict, degree, m):
-    p = xp.to_hpoly(exact_dict, degree)
-    if m is None:
-        return p
-    return p.compose_linear(m)
 
 
 def _g48_from(f, phi):
@@ -190,8 +180,7 @@ def verify_relations(inv, n_points=200, seed=0, rel_tol=1e-7):
 
     Residuals are measured relative to the largest participating term at
     each sample point (the X^2 identity mixes wildly different scales).
-    Returns a report dict; raises IdentityViolation only when asked via
-    report["pass"] consumers.
+    Returns a report dict and never raises; callers read report["pass"].
     """
     from .projective import random_unit_points
 

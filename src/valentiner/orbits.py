@@ -10,21 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrbitSizeMismatch
+from .group import _proj_order
 from .projective import fs_distance, normalize_point
 
 _DEDUP_TOL = 1e-8
-
-
-def _proj_order(m, tol=1e-7):
-    a = np.asarray(m, dtype=complex)
-    p = np.eye(3, dtype=complex)
-    for k in range(1, 6):
-        p = p @ a
-        s = p.ravel()[np.argmax(np.abs(p))]
-        q = p / s
-        if np.max(np.abs(q - q[0, 0] * np.eye(3))) < tol:
-            return k
-    return -1
 
 
 def _add_unique(acc, p):
@@ -55,10 +44,6 @@ class OrbitCatalog:
     def all_points(self):
         return np.concatenate([self.orbit36, self.orbit45, self.orbit60,
                                self.orbit60bar, self.orbit72, self.orbit90])
-
-
-def _pair_index(pairs, a, b):
-    return pairs.index(tuple(sorted((a, b))))
 
 
 def special_orbits(table, inv, tol=1e-7):

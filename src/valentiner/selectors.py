@@ -27,8 +27,10 @@ import mpmath
 import numpy as np
 
 from .context import high_context
-from .errors import FitResidualTooLarge
+from .errors import FitResidualTooLarge, ValentinerError
+from .exactpoly import xeval, xgrad
 from .hpoly import exps
+from .resolvents import _adj3
 
 GENERAL_Y_MONOMIALS = [(b, c) for c in range(9) for b in range(22) if 12 * b + 30 * c <= 252]
 SPECIAL_V_POWERS = list(range(9))
@@ -146,7 +148,6 @@ def select_root(table, fam, p_internal):
 def _mp_setup(dps):
     """Fit ingredients at mp precision; call inside mpmath.workdps(dps)."""
     from .equivariants import h19_exact
-    from .exactpoly import xgrad
     from .frames import bub_frame
     from .group import conic_forms_octahedral, transport_conics
     from .invariants import exact_chain
@@ -157,34 +158,26 @@ def _mp_setup(dps):
     tb, tu = transport_conics(barred_o, unbarred_o, fr, normalize_bub=True)
     f_x, phi_x, psi_x, x45_x = exact_chain()[:4]
     h19, _ = h19_exact()
-
-    def xeval(poly, z):
-        acc = mpmath.mpc(0)
-        for (i, j, k), c in poly.items():
-            acc += c * z[0] ** i * z[1] ** j * z[2] ** k
-        return acc
-
-    k25 = _mp_k25(fr, f_x, h19, x45_x, xeval)
+    k25 = _mp_k25(fr, f_x, h19, x45_x)
     return {"ctx": ctx, "frame": fr, "barred": tb, "unbarred": tu,
             "F": f_x, "gradF": xgrad(f_x), "Phi": phi_x, "Psi": psi_x, "X": x45_x,
-            "h19": h19, "k25": k25, "xeval": xeval}
+            "h19": h19, "k25": k25}
 
 
-def _mp_k25(fr, f_x, h19, x45_x, xeval):
+def _mp_k25(fr, f_x, h19, x45_x):
     """k25 at mp: gradbar(F_oct) after grad(F_oct) in the unitary frame.
 
     F_oct is the exact bub22 form carried to octahedral coordinates at mp
     and anchored to unit x1^6 coefficient, as in the binary64 construction.
     """
-    from .equivariants import _compose_polys
     from .exactpoly import to_hpoly
-    from .hpoly import HPoly, monomial_index
+    from .hpoly import HPoly, compose, monomial_index
 
     f_oct = to_hpoly(f_x, 6, dtype=object).compose_linear(fr.from_octahedral)
     f_oct = f_oct.scale(1 / f_oct.coeffs[monomial_index(6)[(6, 0, 0)]])
     gf_mp = f_oct.grad()
     gfbar = [HPoly(5, np.array([mpmath.conj(c) for c in g.coeffs], dtype=object)) for g in gf_mp]
-    k_oct = [_compose_polys(gb, gf_mp) for gb in gfbar]
+    k_oct = [compose(gb, gf_mp) for gb in gfbar]
     m = fr.to_octahedral
     minv = fr.from_octahedral
     comps = [c.compose_linear(m) for c in k_oct]
@@ -198,15 +191,10 @@ def _mp_k25(fr, f_x, h19, x45_x, xeval):
     z = np.array([mpmath.mpc("0.32", "0.11"), mpmath.mpc("-0.74", "0.41"),
                   mpmath.mpc("0.52", "-0.23")], dtype=object)
     hv = np.array([xeval(c, z) for c in h19], dtype=object)
-    det = _det3_obj(np.stack([z, hv, k_eval(z)], axis=1))
+    zhk = np.stack([z, hv, k_eval(z)], axis=1)
+    det = zhk[0] @ _adj3(zhk)[:, 0]
     s = mpmath.mpc(-1458) * xeval(x45_x, z) / det
     return lambda zz: k_eval(zz) * s
-
-
-def _det3_obj(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def _onto_sextic_mp(setup, z):
@@ -216,7 +204,6 @@ def _onto_sextic_mp(setup, z):
     special selector's V-polynomial form holds only on the curve; six
     quadratically convergent steps carry 1e-16 past 70 digits.
     """
-    xeval = setup["xeval"]
     for _ in range(6):
         g = np.array([xeval(gk, z) for gk in setup["gradF"]], dtype=object)
         gbar = np.array([mpmath.conj(c) for c in g], dtype=object)
@@ -228,12 +215,9 @@ def _w_change_mp(case):
     from fractions import Fraction
 
     if case == "general":
-        m = [[Fraction(v) for v in row] for row in ([8, -92, 800], [2, -104, 128], [0, 0, 6])]
-        adj = [[(m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-                 - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3])
-                for j in range(3)] for i in range(3)]
-        d = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
-        rows = [[adj[i][j] / d for j in range(3)] for i in range(3)]
+        m = np.array([[8, -92, 800], [2, -104, 128], [0, 0, 6]], dtype=object)
+        adj = _adj3(m)
+        rows = adj / Fraction(m[0] @ adj[:, 0])
     else:
         rows = [[Fraction(16, 3), 0, Fraction(-10, 3)], [0, 4, 0], [1, 0, -1]]
     return np.array([[mpmath.mpc(mpmath.mpf(r.numerator) / r.denominator) if isinstance(r, Fraction)
@@ -270,7 +254,6 @@ def _gram_to_quad_dict(g):
 
 def _sample_frame_mp(setup, z, case):
     """(frame matrix at mp, quotient params at mp) for a sample point."""
-    xeval = setup["xeval"]
     F = xeval(setup["F"], z)
     Phi = xeval(setup["Phi"], z)
     Psi = xeval(setup["Psi"], z)
@@ -297,7 +280,7 @@ def _gamma_coeffs_at_z(setup, z, case):
     grams, cz = [], []
     for c in conics:
         grams.append(m.T @ quad_to_gram(c) @ m)
-        cz.append(_eval_hpoly_mp(c, z))
+        cz.append(c.eval(z))
     quads = [_gram_to_quad_dict(g) for g in grams]
     acc = {}
     for mi in range(6):
@@ -311,13 +294,6 @@ def _gamma_coeffs_at_z(setup, z, case):
     e10 = [tuple(int(v) for v in row) for row in exps(10)]
     vec = np.array([acc.get(e, mpmath.mpc(0)) / norm for e in e10], dtype=object)
     return vec, params, m
-
-
-def _eval_hpoly_mp(p, z):
-    acc = mpmath.mpc(0)
-    for e, c in p.terms().items():
-        acc += mpmath.mpc(c) * z[0] ** int(e[0]) * z[1] ** int(e[1]) * z[2] ** int(e[2])
-    return acc
 
 
 def _sample_points(case, n, seed):
@@ -334,7 +310,7 @@ def _sample_points(case, n, seed):
             z = v / np.linalg.norm(v)
             try:
                 y1, y2 = quotient_y(inv, z)
-            except Exception:
+            except (ValentinerError, np.linalg.LinAlgError):
                 continue
             if 0.25 < abs(y1) < 2.5 and 0.25 < abs(y2) < 2.5:
                 out.append(z)
@@ -342,7 +318,7 @@ def _sample_points(case, n, seed):
             try:
                 z = curve_point(rng, inv, reg)
                 v = quotient_v(inv, z)
-            except Exception:
+            except (ValentinerError, np.linalg.LinAlgError):
                 continue
             if 0.25 < abs(v) < 4.0 and abs(v - 1) > 0.15:
                 out.append(z)
@@ -457,7 +433,7 @@ def _calibrate_root_constant(table, zs):
             wt = np.linalg.solve(frame, np.array([1.0, 0, 0]))
             p_int = normalize_point(fam.from_table_coords(wt))
             p_int = polish_72point(fam, p_int)
-        except Exception:
+        except (ValentinerError, np.linalg.LinAlgError):
             continue
         y = frame @ fam.to_table_coords(p_int)
         y = y / np.linalg.norm(y)

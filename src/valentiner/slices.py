@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartSingularity
-from .projective import fs_distance, normalize_point
+from .projective import fs_distance
 
 
 # --- the real-plane chart -------------------------------------------------------
@@ -19,10 +19,6 @@ class RP2Chart:
     attractors: np.ndarray      # (10, 2) chart positions of the real 72-points
     attractor_points: np.ndarray  # (10, 3) real unit vectors
     pair_label: np.ndarray      # (10,) int: label of the period-2 pair
-
-    @property
-    def origin(self):
-        return self.basis[:, 0]
 
     def to_point(self, t):
         t = np.asarray(t, dtype=float)

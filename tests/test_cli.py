@@ -52,6 +52,16 @@ def test_solve_cli(tmp_path):
     assert payload["converged"]
 
 
+def test_solve_cli_negative_values(tmp_path):
+    # a value starting with '-' given as a separate argument, not as --y1=...
+    out = tmp_path / "root.json"
+    rc = main(["solve", "--y1", "-0.5,0.2", "--y2", "1.0,0.1", "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["converged"]
+    assert payload["params"] == [{"re": -0.5, "im": 0.2}, {"re": 1.0, "im": 0.1}]
+
+
 def test_solve_special_cli(tmp_path):
     out = tmp_path / "root.json"
     rc = main(["solve-special", "--v", "0.45,0.65", "--seed", "2", "--out", str(out)])
@@ -69,6 +79,11 @@ def test_basins_cli(tmp_path):
     assert ppm.read_bytes().startswith(b"P6\n48 48\n255\n")
     payload = json.loads(js.read_text())
     assert payload["n_attractors"] == 6
+
+
+def test_error_names_exception_class(capsys):
+    assert main(["solve-special", "--v", "0,0"]) == 1
+    assert "error: DegenerateParams: V in {0, 1} is singular" in capsys.readouterr().err
 
 
 def test_usage_error():

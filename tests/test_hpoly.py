@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valentiner.errors import Inconsistent, NotDivisible, RankDeficient
 from valentiner.hpoly import (EquivariantMap, HPoly, bordered_hessian_det, grad_cross,
-                              hessian_det, jacobian_det, poly_divide_exact)
-from valentiner.linsolve import solve_linear
+                              hessian_det, jacobian_det)
 
 
 def _random_poly(rng, degree):
@@ -21,6 +19,27 @@ def test_eval_homogeneity(rng):
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     lam = 0.7 - 0.3j
     assert abs(p.eval(lam * x) - lam ** 7 * p.eval(x)) < 1e-10 * abs(p.eval(x))
+
+
+@pytest.mark.parametrize("degree", [0, 6, 19, 45])
+def test_eval_many_dtype_contract(rng, degree):
+    """eval_many agrees with pointwise eval and keeps the dtype its inputs give."""
+    from valentiner.hpoly import n_monomials
+    from valentiner.resolvents import f6_general
+
+    def check(p, pts, dtype):
+        vals = p.eval_many(pts)
+        assert vals.dtype == dtype
+        ref = np.array([p.eval(x) for x in pts])
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # 150 points span several of eval_many's blocks at degree 45
+    zc = rng.standard_normal((150, 3)) + 1j * rng.standard_normal((150, 3))
+    check(_random_poly(rng, degree), zc, np.complex128)
+    real = HPoly(degree, rng.standard_normal(n_monomials(degree)))
+    check(real, rng.standard_normal((150, 3)), np.float64)
+    if degree == 6:
+        check(f6_general(0.7 + 0.2j, 1.1 - 0.3j), zc, np.clongdouble)
 
 
 def test_compose_identity_and_roundtrip(rng):
@@ -92,29 +111,6 @@ def test_grad_cross_of_parallel_gradients(rng):
     assert all(c.supnorm() < 1e-12 * p.supnorm() ** 2 for c in g.components)
 
 
-def test_divide_simple():
-    n = HPoly.from_terms(3, {(2, 1, 0): 1.0})
-    d = HPoly.from_terms(1, {(1, 0, 0): 1.0})
-    q = poly_divide_exact(n, d)
-    assert abs(q.coeffs[q.terms() and 0] - 0) >= 0  # shape only
-    assert q.terms() == {(1, 1, 0): 1.0}
-
-
-def test_divide_roundtrip(rng):
-    q = _random_poly(rng, 6)
-    d = _random_poly(rng, 5)
-    n = q * d
-    q2 = poly_divide_exact(n, d, rel_tol=1e-9)
-    assert np.max(np.abs(q2.coeffs - q.coeffs)) < 1e-9 * q.supnorm()
-
-
-def test_divide_not_divisible(rng):
-    n = _random_poly(rng, 6)
-    d = _random_poly(rng, 5)
-    with pytest.raises(NotDivisible):
-        poly_divide_exact(n, d, rel_tol=1e-8)
-
-
 def test_bordered_hessian_degree(inv):
     bh = bordered_hessian_det(inv.F, inv.Phi)
     assert bh.degree == 30
@@ -128,50 +124,3 @@ def test_json_roundtrip(rng):
     m2 = EquivariantMap.from_json_dict(m.to_json_dict())
     for a, b in zip(m.components, m2.components):
         assert np.allclose(a.coeffs, b.coeffs)
-
-
-# --- solve_linear --------------------------------------------------------------
-
-
-def test_solve_identity(rng):
-    b = rng.standard_normal(4)
-    x, res = solve_linear(np.eye(4), b)
-    assert np.allclose(x, b)
-
-
-def test_solve_duplicated_rows(rng):
-    a = rng.standard_normal((3, 3))
-    b = rng.standard_normal(3)
-    x0, _ = solve_linear(a, b)
-    a2 = np.concatenate([a, a], axis=0)
-    b2 = np.concatenate([b, b])
-    x1, _ = solve_linear(a2, b2)
-    assert np.allclose(x0, x1)
-
-
-def test_solve_vandermonde_quadratic(rng):
-    # independent oracle: construct a known quadratic, sample, refit
-    coeffs = np.array([2.0, -1.5, 0.25])
-    ts = np.linspace(-1, 1, 5)
-    a = np.vander(ts, 3, increasing=True)
-    b = a @ coeffs
-    x, res = solve_linear(a, b)
-    assert np.allclose(x, coeffs, atol=1e-12)
-    assert res < 1e-12
-
-
-def test_solve_errors(rng):
-    with pytest.raises(RankDeficient):
-        solve_linear(np.zeros((4, 3)), np.zeros(4))
-    a = rng.standard_normal((5, 2))
-    b = rng.standard_normal(5)
-    with pytest.raises(Inconsistent):
-        solve_linear(a, b, rel_tol=1e-12)
-
-
-def test_wellconditioned_residual(rng):
-    for _ in range(20):
-        a = rng.standard_normal((6, 6)) + np.eye(6) * 3
-        b = rng.standard_normal(6)
-        x, rel = solve_linear(a, b)
-        assert rel < 1e-10

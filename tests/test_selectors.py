@@ -20,6 +20,15 @@ def _gamma_direct(inv, conics, frame, z, w_unit, norm):
     return acc / norm
 
 
+@pytest.mark.parametrize("case", ["general", "special"])
+def test_calibration_reproduces_shipped_root_constant(case, selector_general, selector_special):
+    from valentiner.selectors import _calibrate_root_constant, _sample_points
+
+    table = selector_general if case == "general" else selector_special
+    const = _calibrate_root_constant(table, _sample_points(case, 10, 1234))
+    assert abs(const - table.sel_const) <= 1e-12 * abs(table.sel_const)
+
+
 def test_general_table_reproduces_direct_evaluation(selector_general, reg, inv, rng):
     worst = 0.0
     checked = 0
