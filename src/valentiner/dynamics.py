@@ -120,14 +120,15 @@ def polish_72point(fam, w, steps=40, tol=1e-13):
     ab = np.zeros(2, dtype=complex)
     fsup = fam.F.supnorm()
     psup = fam.Phi.supnorm()
+    grad_f, grad_phi = fam.F.grad(), fam.Phi.grad()
     for _ in range(steps):
         p = w + ab[0] * u + ab[1] * v
         fv = fam.F.eval(p) / fsup
         pv = fam.Phi.eval(p) / psup
         if abs(fv) < tol and abs(pv) < tol:
             break
-        gf = np.array([c.eval(p) for c in fam.F.grad()]) / fsup
-        gp = np.array([c.eval(p) for c in fam.Phi.grad()]) / psup
+        gf = np.array([c.eval(p) for c in grad_f]) / fsup
+        gp = np.array([c.eval(p) for c in grad_phi]) / psup
         jac = np.array([[gf @ u, gf @ v], [gp @ u, gp @ v]])
         try:
             delta = np.linalg.solve(jac, np.array([fv, pv]))

@@ -12,19 +12,80 @@ The degree-19 map is constructed from scratch, exactly:
 4. inside that space, preserving one barred and one unbarred conic is a
    linear condition over Q(sqrt(-15)); its solution is the canonical map.
 
-The result has integer coefficients; it is compared coefficient-by-
-coefficient against the published table, and any disagreements are
-reported rather than silently adopted.
+Every step runs on HPoly with exact coefficients (Python ints, Fraction,
+and Q(sqrt(-15)) for the conic conditions).  The result has integer
+coefficients; it is compared coefficient-by-coefficient against the
+published table, and any disagreements are reported rather than silently
+adopted.
 """
 
+import itertools
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from . import exactpoly as xp
+from .context import CTX64
 from .errors import VanishingFailure
-from .hpoly import EquivariantMap, HPoly, compose, grad_cross, identity_times
+from .frames import bub_frame
+from .hpoly import EquivariantMap, HPoly, det3, divide_exact, exps, identity_times, monomial_index
 from .invariants import exact_chain
+
+
+class Q15:
+    """The field Q(sqrt(-15)): numbers a + b*w with w^2 = -15, exact rationals a, b.
+
+    Conic coefficients and the barred/unbarred split live here; the basic
+    invariants themselves are plain integers in the special real frame.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    def __add__(self, o):
+        o = o if isinstance(o, Q15) else Q15(o)
+        return Q15(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Q15(-self.a, -self.b)
+
+    def __sub__(self, o):
+        return self + (-(o if isinstance(o, Q15) else Q15(o)))
+
+    def __rsub__(self, o):
+        return (-self) + o
+
+    def __mul__(self, o):
+        o = o if isinstance(o, Q15) else Q15(o)
+        return Q15(self.a * o.a - 15 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = o if isinstance(o, Q15) else Q15(o)
+        n = o.a * o.a + 15 * o.b * o.b
+        if n == 0:
+            raise ZeroDivisionError("Q15 division by zero")
+        return self * Q15(o.a / n, -o.b / n)
+
+    def conj(self):
+        return Q15(self.a, -self.b)
+
+    def __eq__(self, o):
+        o = o if isinstance(o, Q15) else Q15(o)
+        return self.a == o.a and self.b == o.b
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __repr__(self):
+        return f"Q15({self.a}, {self.b})"
+
 
 # promotions: (which cross map, F-power, Phi-power, Psi-power)
 BASIS_64 = [
@@ -40,23 +101,17 @@ def _exact_basis_64():
     cross = {"psi": psi16, "phi": phi34, "f": f40}
     basis = []
     for name, a, b, c in BASIS_64:
-        inv = xp.xmul(xp.xmul(xp.xpow(f, a), xp.xpow(phi, b)), xp.xpow(psi, c))
-        bmap = [xp.xmul(inv, comp) for comp in cross[name]]
-        assert all(sum(e) == 64 for comp in bmap for e in comp)
+        inv = f.pow(a) * phi.pow(b) * psi.pow(c)
+        bmap = [inv * comp for comp in cross[name].components]
+        assert all(comp.degree == 64 for comp in bmap)
         basis.append(bmap)
     return basis
 
 
 def _restrict_line(p):
-    """Substitute y1 = y2 = t, y3 = s: dict (deg_t, deg_s) -> coeff."""
-    out = {}
-    for (i, j, k), c in p.items():
-        e = (i + j, k)
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
+    """Coefficients of p(t, t, s), indexed by the power of s."""
+    out = np.zeros(p.degree + 1, dtype=object)
+    np.add.at(out, exps(p.degree)[:, 2], p.coeffs)
     return out
 
 
@@ -99,13 +154,9 @@ def _rational_nullspace(rows, ncols):
 def _vanishing_family():
     """Exact coefficient vectors of 64-maps vanishing on the mirror lines."""
     basis = _exact_basis_64()
-    rows_by_eq = {}
-    for col, bmap in enumerate(basis):
-        for comp in range(3):
-            restr = _restrict_line(bmap[comp])
-            for e, c in restr.items():
-                rows_by_eq.setdefault((comp, e), [Fraction(0)] * len(basis))[col] = Fraction(c)
-    rows = list(rows_by_eq.values())
+    # one row per (component, power of s) of the restriction, one column per basis map
+    cols = [np.concatenate([_restrict_line(comp) for comp in bmap]) for bmap in basis]
+    rows = [[Fraction(v) for v in row] for row in zip(*cols) if any(row)]
     null = _rational_nullspace(rows, len(basis))
     if len(null) != 3:
         raise VanishingFailure(f"expected a 3-dimensional vanishing family, got {len(null)}")
@@ -113,45 +164,23 @@ def _vanishing_family():
 
 
 def _combo_map(basis, vec):
-    comps = []
-    for i in range(3):
-        acc = {}
-        for col, w in enumerate(vec):
-            if w:
-                acc = xp.xadd(acc, xp.xscale(basis[col][i], w))
-        comps.append(acc)
-    return comps
+    return [HPoly(64, np.dot(np.array(vec, dtype=object), np.stack([b[i].coeffs for b in basis])))
+            for i in range(3)]
 
 
 def _conic_condition_rows(g_comps, f_x, phi_x, a_coef, svals):
     """Linear conditions in (u, v) for g + (u F^3 + v F Phi) id to fix the conic
     A y1 y2 + y3^2 = 0, evaluated at parameter points [s^2, -A, A s]."""
-    f3 = xp.xpow(f_x, 3)
-    fphi = xp.xmul(f_x, phi_x)
+    f3 = f_x.pow(3)
+    fphi = f_x * phi_x
     rows = []
     for s in svals:
-        pt = (xp.Q15(s * s), -a_coef, a_coef * xp.Q15(s))
-        g = [_eval_q15(c, pt) for c in g_comps]
+        pt = (Q15(s * s), -a_coef, a_coef * Q15(s))
+        g = [c.eval(pt) for c in g_comps]
         cg = a_coef * g[0] * g[1] + g[2] * g[2]
         lin = a_coef * (g[0] * pt[1] + g[1] * pt[0]) + 2 * g[2] * pt[2]
-        t1 = _eval_q15(f3, pt)
-        t2 = _eval_q15(fphi, pt)
-        rows.append((t1 * lin, t2 * lin, -cg))
+        rows.append((f3.eval(pt) * lin, fphi.eval(pt) * lin, -cg))
     return rows
-
-
-def _eval_q15(poly, pt):
-    acc = xp.Q15(0)
-    for (i, j, k), c in poly.items():
-        term = xp.Q15(c)
-        for _ in range(i):
-            term = term * pt[0]
-        for _ in range(j):
-            term = term * pt[1]
-        for _ in range(k):
-            term = term * pt[2]
-        acc = acc + term
-    return acc
 
 
 def _solve2_q15(rows):
@@ -161,8 +190,6 @@ def _solve2_q15(rows):
     invariant restricts to the square of the degree-6 one on a conic), so an
     independent pair is searched for rather than assumed.
     """
-    import itertools
-
     for i, j in itertools.combinations(range(len(rows)), 2):
         a1, b1, c1 = rows[i]
         a2, b2, c2 = rows[j]
@@ -180,77 +207,45 @@ def _solve2_q15(rows):
 def build_h19_exact():
     """Integer tables of the canonical degree-19 conic-preserving map.
 
-    Returns (h19_components, f19_components) as exact dicts, where
-    f19 = h19 - 1620 F^3 id.
+    Returns (h19_components, f19_components) as lists of three integer
+    HPolys, where f19 = h19 - 1620 F^3 id.
     """
-    from math import gcd, lcm
-
     f_x, phi_x, psi_x, x45 = exact_chain()[:4]
     basis, null = _vanishing_family()
     gs = []
     for vec in null:
         den = lcm(*[w.denominator for w in vec])
-        ivec = [int(w * den) for w in vec]
-        f64 = _combo_map(basis, ivec)
-        g19 = [xp.xdivide_exact(c, x45) for c in f64]
-        gs.append(g19)
+        f64 = _combo_map(basis, [int(w * den) for w in vec])
+        gs.append([divide_exact(c, x45) for c in f64])
     # trivial maps
-    f3 = xp.xpow(f_x, 3)
-    fphi = xp.xmul(f_x, phi_x)
-    t1 = [xp.xmul(f3, m) for m in ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})]
-    t2 = [xp.xmul(fphi, m) for m in ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})]
-    # find a member of the family independent of the trivial maps:
-    # pick the combination maximizing independence via exact elimination on a
-    # few coefficient coordinates.
-    gstar = None
-    for cand in gs:
-        if not _in_trivial_span(cand, t1, t2):
-            gstar = cand
-            break
+    t1 = identity_times(f_x.pow(3)).components
+    t2 = identity_times(f_x * phi_x).components
+    # a member of the family independent of the trivial maps
+    gstar = next((g for g in gs if not _in_trivial_span(g, t1, t2)), None)
     if gstar is None:
         raise VanishingFailure("vanishing family is entirely trivial")
     # conic preservation over Q(sqrt(-15)): A = -(1 + w)/6 for the barred conic,
     # conjugate for the unbarred one
-    a_b = xp.Q15(Fraction(-1, 6), Fraction(-1, 6))
-    a_u = a_b.conj()
+    a_b = Q15(Fraction(-1, 6), Fraction(-1, 6))
     rows = _conic_condition_rows(gstar, f_x, phi_x, a_b, (1, 2, 3))
-    rows += _conic_condition_rows(gstar, f_x, phi_x, a_u, (1, 2, 3))
+    rows += _conic_condition_rows(gstar, f_x, phi_x, a_b.conj(), (1, 2, 3))
     u, v = _solve2_q15(rows)
     # h = gstar + (u F^3 + v F Phi) id, coefficients should be rational
-    h = []
-    for i, m in enumerate(({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})):
-        tr = xp.xadd({e: xp.Q15(c) * u for e, c in t1[i].items()},
-                     {e: xp.Q15(c) * v for e, c in t2[i].items()})
-        comp = xp.xadd({e: xp.Q15(c) for e, c in gstar[i].items()}, tr)
-        h.append(comp)
-    for comp in h:
-        for e, c in comp.items():
-            if c.b != 0:
-                raise VanishingFailure(f"canonical map has non-real coefficient at {e}")
-    h = [{e: c.a for e, c in comp.items() if c.a != 0} for comp in h]
-    # scale: clear denominators to content-1 integers, then anchor the overall
-    # factor on the published pure-y3 coefficient of the third component
-    den = 1
-    for comp in h:
-        for c in comp.values():
-            den = lcm(den, c.denominator)
-    h = [{e: int(c * den) for e, c in comp.items()} for comp in h]
-    g = 0
-    for comp in h:
-        for c in comp.values():
-            g = gcd(g, abs(c))
-    h = [{e: c // g for e, c in comp.items()} for comp in h]
-    anchor = h[2].get((0, 0, 19), 0)
+    h = [gstar[i] + t1[i].scale(u) + t2[i].scale(v) for i in range(3)]
+    if any(c.b for comp in h for c in comp.coeffs):
+        raise VanishingFailure("canonical map has non-real coefficients")
+    q = np.array([[c.a for c in comp.coeffs] for comp in h], dtype=object)
+    # scale: anchor the overall factor on the published pure-y3 coefficient
+    # of the third component
+    anchor = q[2, monomial_index(19, (0, 0, 19))]
     if anchor == 0:
         raise VanishingFailure("no y3^19 anchor in constructed map")
-    fr = Fraction(-1023516, anchor)
-    h_scaled = [{e: c * fr for e, c in comp.items()} for comp in h]
-    if any(c.denominator != 1 for comp in h_scaled for c in comp.values()):
+    q = q * (Fraction(-1023516) / anchor)
+    if any(c.denominator != 1 for c in q.flat):
         raise VanishingFailure("published anchor does not give integer scaling")
-    h_final = [{e: int(c) for e, c in comp.items()} for comp in h_scaled]
-    ids = ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})
-    f19 = [xp.xadd(h_final[i], xp.xscale(xp.xmul(f3, ids[i]), -1620)) for i in range(3)]
-    return h_final, f19
+    h19 = [HPoly(19, np.array([int(c) for c in row], dtype=object)) for row in q]
+    f19 = [h19[i] - t1[i].scale(1620) for i in range(3)]
+    return h19, f19
 
 
 _H19_CACHE = None
@@ -270,14 +265,11 @@ class EquivariantRegistry:
         from .invariants import build_invariants
 
         self.inv = build_invariants("bub22")
-        f, phi, psi = self.inv.F, self.inv.Phi, self.inv.Psi
-        self.psi16 = grad_cross(f, phi)
-        self.phi34 = grad_cross(f, psi)
-        self.f40 = grad_cross(phi, psi)
+        self.psi16 = EquivariantMap([c.astype(complex) for c in exact_chain()[4].components])
         h, f19 = h19_exact()
-        self.h19 = EquivariantMap([xp.to_hpoly(c, 19) for c in h])
-        self.f19 = EquivariantMap([xp.to_hpoly(c, 19) for c in f19])
-        self.k25 = build_k25()
+        self.h19 = EquivariantMap([c.astype(complex) for c in h])
+        self.f19 = EquivariantMap([c.astype(complex) for c in f19])
+        self.k25 = build_k25(self.inv.F, self.h19, self.inv.X)
 
     def g19(self, a, b):
         """The two-parameter family h19 + F (a B12 + b U12) id."""
@@ -298,44 +290,45 @@ def registry():
 # --- the degree-25 companion map ----------------------------------------------
 
 
-def build_k25(calibrate=True):
+class K25Map:
     """The degree-25 equivariant from the doubled conjugate gradient of F.
 
-    Built in the unitary (octahedral) frame as gradbar(F) after grad(F),
-    transported to bub22 by frame conjugation, then scaled so the frame
-    determinant |[z, h19(z), k25(z)]| equals -1458 X(z).
+    In the unitary (octahedral) frame it is gradbar(F_oct) after
+    grad(F_oct).  With x = M y and F_oct(x) = F(M^-1 x) for the integer
+    bub22 form F, whose gradient has real coefficients, the bub22 map
+    k(y) = M^-1 gradbar(F_oct)(grad F_oct(M y)) reads
+
+        k(y) = s G grad F(conj(G) grad F(y)),    G = M^-1 M^-H,
+
+    evaluated pointwise in the dtype of grad F and G (complex128, or mpmath
+    objects for the selector fit); s makes |[z, h19(z), k(z)]| = -1458 X(z).
     """
-    from .frames import bub_frame
-    from .invariants import build_invariants
 
-    inv_oct = build_invariants("octahedral")
-    grad_f = inv_oct.F.grad()
-    grad_f_bar = [HPoly(5, np.conj(g.coeffs)) for g in grad_f]
-    k_oct = [compose(gb, grad_f) for gb in grad_f_bar]
-    fr = bub_frame()
-    m = np.asarray(fr.to_octahedral, dtype=complex)
-    minv = np.asarray(fr.from_octahedral, dtype=complex)
-    comps = [c.compose_linear(m) for c in k_oct]
-    # y-components: k_bub = M^-1 k_oct(M y)
-    out = []
-    for r in range(3):
-        acc = comps[0].scale(minv[r, 0]) + comps[1].scale(minv[r, 1]) + comps[2].scale(minv[r, 2])
-        out.append(acc)
-    k = EquivariantMap(out)
-    if not calibrate:
-        return k
-    reg_h, _ = h19_exact()
-    h = EquivariantMap([xp.to_hpoly(c, 19) for c in reg_h])
-    from .invariants import build_invariants as _bi
+    degree = 25
 
-    inv = _bi("bub22")
-    rng = np.random.default_rng(210)
-    z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    z /= np.linalg.norm(z)
-    d = np.linalg.det(np.stack([z, h(z), k(z)], axis=1))
-    target = -1458 * inv.X.eval(z)
-    s = target / d
-    k = k.scale(s)
+    def __init__(self, grad_f, g):
+        self.grad_f = grad_f
+        self.g = g
+        self.g_bar = np.conj(g)
+        self.scale = 1
+
+    def __call__(self, z):
+        z = np.asarray(z)
+        if z.dtype != object:
+            z = z.astype(complex)
+        w = self.g_bar @ np.array([c.eval(z) for c in self.grad_f])
+        return self.scale * (self.g @ np.array([c.eval(w) for c in self.grad_f]))
+
+
+def build_k25(f, h19, x45, ctx=CTX64):
+    """k25 in the lane of ctx, from bub22's F, h19 and X in that lane.
+
+    The scale is calibrated once, at a fixed point, against -1458 X.
+    """
+    minv = bub_frame(ctx).from_octahedral
+    k = K25Map(f.grad(), minv @ np.conj(minv).T)
+    z = ctx.array([ctx.scalar(0.32, 0.11), ctx.scalar(-0.74, 0.41), ctx.scalar(0.52, -0.23)])
+    k.scale = -1458 * x45.eval(z) / det3(np.stack([z, h19(z), k(z)], axis=1))
     return k
 
 
@@ -452,13 +445,9 @@ def verify_h19(reg, catalog, seed=0, n_conic=50):
 
 def _in_trivial_span(g, t1, t2):
     """Exact check whether g is a rational combination of t1, t2."""
-    rows = []
-    for i in range(3):
-        for e in sorted(set(t1[i]) | set(t2[i]) | set(g[i])):
-            rows.append((Fraction(t1[i].get(e, 0)), Fraction(t2[i].get(e, 0)), Fraction(g[i].get(e, 0))))
+    rows = [tuple(Fraction(v) for v in r)
+            for i in range(3) for r in zip(t1[i].coeffs, t2[i].coeffs, g[i].coeffs) if any(r)]
     # solve for (p, q) from the first independent pair, then verify
-    import itertools
-
     for r1, r2 in itertools.combinations(range(len(rows)), 2):
         a1, b1, c1 = rows[r1]
         a2, b2, c2 = rows[r2]

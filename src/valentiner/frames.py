@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import CTX64
+from .hpoly import inv3
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,6 @@ class CoordinateFrame:
         r = self.to_octahedral @ self.from_octahedral
         r = r / r[0, 0]
         return float(np.max(np.abs(r - np.eye(3))))
-
-
-def _inv(m):
-    return np.linalg.inv(m)
 
 
 def octahedral_frame(ctx=CTX64):
@@ -47,10 +44,7 @@ def icosahedral_change(ctx=CTX64):
 
 def icosahedral_frame(ctx=CTX64):
     a = icosahedral_change(ctx)
-    if ctx.is_high:
-        ainv = ctx.array([[a[1][1], -a[0][1], 0], [-a[1][0], a[0][0], 0], [0, 0, 1]])
-        return CoordinateFrame("icosahedral", ainv, a)
-    return CoordinateFrame("icosahedral", _inv(a), a)
+    return CoordinateFrame("icosahedral", inv3(a), a)
 
 
 def fricke_change(ctx=CTX64):
@@ -63,24 +57,7 @@ def fricke_frame(ctx=CTX64):
     b = fricke_change(ctx)
     a = icosahedral_change(ctx)
     from_oct = np.array(b, dtype=complex) @ np.array(a, dtype=complex)
-    return CoordinateFrame("fricke", _inv(from_oct), from_oct)
-
-
-def solve3(a, b):
-    """Cramer solve of a 3x3 system, valid for object (mpmath) entries."""
-    def det3x3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    d = det3x3(a)
-    out = []
-    for c in range(3):
-        m = [[a[r][cc] if cc != c else b[r] for cc in range(3)] for r in range(3)]
-        out.append(det3x3(m) / d)
-    return out
+    return CoordinateFrame("fricke", inv3(from_oct), from_oct)
 
 
 def bub_change(ctx=CTX64):
@@ -101,22 +78,15 @@ def bub_change(ctx=CTX64):
     v1 = [(1 - s5) / 2, -w * i, ctx.scalar(1)]
     v2 = [(1 - s5) / 2, w * i, ctx.scalar(1)]
     v3 = [(1 + s5) / 2, ctx.scalar(0), ctx.scalar(1)]
-    a0 = [[v1[r], v2[r], v3[r]] for r in range(3)]
-    p22 = [(1 - s5) / 2 * rho * rho, ctx.scalar(0), ctx.scalar(1)]
-    u = solve3(a0, p22)
-    lam = [u[0] / u[2], u[1] / u[2], ctx.scalar(1)]
-    return ctx.array([[a0[r][c] * lam[c] for c in range(3)] for r in range(3)])
+    a0 = ctx.array([[v1[r], v2[r], v3[r]] for r in range(3)])
+    p22 = ctx.array([(1 - s5) / 2 * rho * rho, ctx.scalar(0), ctx.scalar(1)])
+    u = inv3(a0) @ p22
+    return a0 * (u / u[2])
 
 
 def bub_frame(ctx=CTX64):
     m = bub_change(ctx)
-    if ctx.is_high:
-        import mpmath
-        with mpmath.workdps(ctx.dps):
-            minv = mpmath.inverse(mpmath.matrix(m.tolist()))
-            minv = ctx.array([[minv[r, c] for c in range(3)] for r in range(3)])
-        return CoordinateFrame("bub22", m, minv)
-    return CoordinateFrame("bub22", m, _inv(np.asarray(m, dtype=complex)))
+    return CoordinateFrame("bub22", m, inv3(m))
 
 
 def frame_by_name(name, ctx=CTX64):

@@ -8,13 +8,12 @@ the 1080-element linear lift; projective deduplication gives the
 360-element projective group.
 """
 
-import mpmath
 import numpy as np
 
 from .context import CTX64
 from .errors import ClosureOverflow
 from .frames import frame_by_name
-from .hpoly import HPoly
+from .hpoly import HPoly, inv3, monomial_index
 
 PROJ_ORDER = 360
 LIFT_ORDER = 1080
@@ -178,28 +177,6 @@ def enumerate_group(ctx=CTX64, frame_name="octahedral", max_elements=LIFT_ORDER)
 
 # --- conic forms ----------------------------------------------------------------
 
-def quad_to_gram(p):
-    """Symmetric 3x3 Gram matrix of a degree-2 HPoly, in its coefficient dtype."""
-    g = np.zeros((3, 3), dtype=p.coeffs.dtype)
-    for (i, j, k), c in p.terms().items():
-        e = (i, j, k)
-        axes = [t for t, v in enumerate(e) for _ in range(v)]
-        a, b = axes
-        if a == b:
-            g[a, a] += c
-        else:
-            g[a, b] += c / 2
-            g[b, a] += c / 2
-    return g
-
-
-def _inverse(m, ctx):
-    if ctx.is_high:
-        inv = mpmath.inverse(mpmath.matrix(np.asarray(m).tolist()))
-        return ctx.array(inv.tolist())
-    return np.linalg.inv(np.asarray(m, dtype=complex))
-
-
 def conic_forms_octahedral(ctx=CTX64):
     """The two systems of six conic forms in octahedral coordinates.
 
@@ -212,8 +189,8 @@ def conic_forms_octahedral(ctx=CTX64):
     gens = generators_octahedral(ctx)
     one = ctx.scalar(1)
     c1 = HPoly.from_terms(2, {(2, 0, 0): one, (0, 2, 0): one, (0, 0, 2): one}, dtype=ctx.dtype)
-    qinv = _inverse(gens["Q"], ctx)
-    pinv = _inverse(gens["P"], ctx)
+    qinv = inv3(gens["Q"])
+    pinv = inv3(gens["P"])
     c2 = c1.compose_linear(qinv)
     barred = [c1, c2]
     for k in (4, 3, 2, 1):
@@ -243,9 +220,7 @@ def transport_conics(barred, unbarred, frame, normalize_bub=False):
     tb = [c.compose_linear(m) for c in barred]
     tu = [c.compose_linear(m) for c in unbarred]
     if normalize_bub:
-        from .hpoly import monomial_index
-
-        idx = monomial_index(2)[(0, 0, 2)]
+        idx = monomial_index(2, (0, 0, 2))
         kappa = 1.0 / tb[0].coeffs[idx]
         tb = [c.scale(kappa) for c in tb]
         tu = [c.scale(kappa) for c in tu]

@@ -1,23 +1,24 @@
-"""Dense homogeneous polynomial arithmetic in three variables.
+"""Dense homogeneous polynomials in three variables, over any coefficient ring.
 
 A degree-d homogeneous polynomial in (x1, x2, x3) is stored as a flat
-coefficient vector over the monomial list exps(d), ordered with the first
-exponent descending.  Degree-19 objects have 210 monomials, degree-64 ones
-2145, so dense vectors plus precomputed index tables keep every product a
-single scatter-add.
+coefficient vector over the monomial list exps(d), in lex order (first
+exponent descending, then second).  Degree-19 objects have 210 monomials,
+degree-64 ones 2145.
 
-The same code paths run on complex128 (default) and on object arrays of
-mpmath numbers (high-precision lane); the latter fall back to loops where
-numpy ufuncs do not apply.
+The coefficient dtype chooses the ring: complex128 (default), clongdouble
+or float64 for the numeric lanes, and object arrays for exact and
+high-precision work (Python ints, Fraction, Q(sqrt(-15)) or mpmath
+numbers).  Every operation runs the same code on every dtype; products
+multiply only the nonzero coefficients of each factor.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 # --- monomial bookkeeping ----------------------------------------------------
 
 _EXPS = {}
-_IDX = {}
-_MULTAB = {}
 _DIFFTAB = {}
 
 # entries per block of eval_many's power and monomial tables
@@ -29,46 +30,28 @@ def n_monomials(d):
 
 
 def exps(d):
-    """(N, 3) array of exponent triples of total degree d, first exponent descending."""
+    """(N, 3) array of exponent triples of total degree d, in lex order."""
     if d not in _EXPS:
-        rows = [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
-        _EXPS[d] = np.array(rows, dtype=np.int64)
-        _IDX[d] = {tuple(r): t for t, r in enumerate(rows)}
+        a = np.repeat(np.arange(d + 1), np.arange(1, d + 2))     # a = d - i
+        j = a - (np.arange(n_monomials(d)) - a * (a + 1) // 2)
+        _EXPS[d] = np.stack([d - a, j, a - j], axis=1)
     return _EXPS[d]
 
 
-def monomial_index(d):
-    exps(d)
-    return _IDX[d]
-
-
-def _mul_table(da, db):
-    key = (da, db)
-    if key not in _MULTAB:
-        ea, eb = exps(da), exps(db)
-        idx = monomial_index(da + db)
-        tab = np.empty((len(ea), len(eb)), dtype=np.int64)
-        for a, ra in enumerate(ea):
-            for b, rb in enumerate(eb):
-                tab[a, b] = idx[(ra[0] + rb[0], ra[1] + rb[1], ra[2] + rb[2])]
-        _MULTAB[key] = tab
-    return _MULTAB[key]
+def monomial_index(d, e):
+    """Position of exponent triple(s) e (last axis) in exps(d): a(a+1)/2 + a - j, a = d - i."""
+    e = np.asarray(e)
+    a = d - e[..., 0]
+    return a * (a + 1) // 2 + a - e[..., 1]
 
 
 def _diff_table(d, axis):
     key = (d, axis)
     if key not in _DIFFTAB:
         e = exps(d)
-        idx = monomial_index(d - 1)
-        src, dst, fac = [], [], []
-        for t, row in enumerate(e):
-            if row[axis] > 0:
-                r = row.copy()
-                r[axis] -= 1
-                src.append(t)
-                dst.append(idx[tuple(r)])
-                fac.append(row[axis])
-        _DIFFTAB[key] = (np.array(src), np.array(dst), np.array(fac, dtype=np.int64))
+        src = np.flatnonzero(e[:, axis])
+        lowered = e[src] - np.eye(3, dtype=np.int64)[axis]
+        _DIFFTAB[key] = (src, monomial_index(d - 1, lowered), e[src, axis])
     return _DIFFTAB[key]
 
 
@@ -96,17 +79,16 @@ class HPoly:
     def from_terms(cls, degree, terms, dtype=np.complex128):
         """terms: mapping (i, j, k) -> coefficient."""
         p = cls(degree, dtype=dtype)
-        idx = monomial_index(degree)
         for e, c in terms.items():
-            p.coeffs[idx[tuple(e)]] += c
+            p.coeffs[monomial_index(degree, e)] += c
         return p
 
     def terms(self):
-        e = exps(self.degree)
-        return {tuple(e[t]): self.coeffs[t] for t in range(len(e)) if self.coeffs[t] != 0}
+        """Mapping (i, j, k) -> coefficient over the nonzero coefficients."""
+        return {tuple(e): c for e, c in zip(exps(self.degree).tolist(), self.coeffs) if c}
 
-    def copy(self):
-        return HPoly(self.degree, self.coeffs.copy())
+    def astype(self, dtype):
+        return HPoly(self.degree, self.coeffs.astype(dtype))
 
     @property
     def is_object(self):
@@ -147,31 +129,24 @@ class HPoly:
     __rmul__ = scale
 
     def __mul__(self, other):
+        """Product in the promoted dtype of both factors, over their nonzero coefficients."""
         if not isinstance(other, HPoly):
             return self.scale(other)
-        tab = _mul_table(self.degree, other.degree)
-        if self.is_object or other.is_object:
-            out = np.zeros(n_monomials(self.degree + other.degree), dtype=object)
-            ca, cb = self.coeffs, other.coeffs
-            for a in range(len(ca)):
-                if ca[a] == 0:
-                    continue
-                row = tab[a]
-                va = ca[a]
-                for b in range(len(cb)):
-                    if cb[b] != 0:
-                        out[row[b]] += va * cb[b]
-            return HPoly(self.degree + other.degree, out)
-        out = np.zeros(n_monomials(self.degree + other.degree), dtype=np.complex128)
-        np.add.at(out, tab.ravel(), np.outer(self.coeffs, other.coeffs).ravel())
-        return HPoly(self.degree + other.degree, out)
+        d = self.degree + other.degree
+        a, b = self.coeffs.nonzero()[0], other.coeffs.nonzero()[0]
+        # monomial_index is additive up to a cross term: the product of the
+        # monomials at positions p, q sits at p + q + (da - i_p)(db - i_q)
+        idx = (self.degree - exps(self.degree)[a, 0])[:, None] * (other.degree - exps(other.degree)[b, 0])
+        idx += a[:, None]
+        idx += b
+        out = np.zeros(n_monomials(d), dtype=np.result_type(self.coeffs, other.coeffs))
+        # np.outer, not a broadcast product, which can round differently in the last bit
+        np.add.at(out, idx.ravel(), np.outer(self.coeffs[a], other.coeffs[b]).ravel())
+        return HPoly(d, out)
 
     def pow(self, k):
-        if k == 0:
-            one = np.array([1], dtype=object) if self.is_object else np.array([1.0 + 0j])
-            return HPoly(0, one)
-        out = self
-        for _ in range(k - 1):
+        out = HPoly(0, np.ones(1, dtype=self.coeffs.dtype))
+        for _ in range(k):
             out = out * self
         return out
 
@@ -187,16 +162,25 @@ class HPoly:
     # evaluation
 
     def eval(self, x):
-        """Value at one point (3-vector, complex or mpmath scalars)."""
+        """Value at one point.
+
+        A numeric point with numeric coefficients is evaluated by numpy.
+        Otherwise (object coefficients or point: ints, Fraction,
+        Q(sqrt(-15)), mpmath) each coordinate's powers are built by
+        repeated multiplication, so the value stays in the inputs' ring.
+        """
         e = exps(self.degree)
         if self.is_object or not isinstance(x, np.ndarray) or x.dtype == object:
+            pw = []
+            for v in range(3):
+                p = [1]
+                for _ in range(self.degree):
+                    p.append(p[-1] * x[v])
+                pw.append(p)
             acc = 0
-            for t in range(len(e)):
-                c = self.coeffs[t]
-                if c == 0:
-                    continue
-                i, j, k = e[t]
-                acc += c * x[0] ** int(i) * x[1] ** int(j) * x[2] ** int(k)
+            for c, (i, j, k) in zip(self.coeffs, e.tolist()):
+                if c:
+                    acc = acc + c * pw[0][i] * pw[1][j] * pw[2][k]
             return acc
         pw = [np.power(x[v], np.arange(self.degree + 1)) for v in range(3)]
         vals = pw[0][e[:, 0]] * pw[1][e[:, 1]] * pw[2][e[:, 2]]
@@ -231,58 +215,99 @@ class HPoly:
         """P(M x) for a 3x3 matrix M, as an HPoly of the same degree."""
         m = np.asarray(m)
         dtype = object if (self.is_object or m.dtype == object) else np.complex128
-        return compose(self, [HPoly(1, np.array(row, dtype=dtype)) for row in m])
+        one = HPoly(0, np.ones(1, dtype=dtype))
+        pows = []                       # pows[v][k] = (row v of M . x)^k
+        for row in m:
+            ps = [one, HPoly(1, np.array(row, dtype=dtype))]
+            while len(ps) <= self.degree:
+                ps.append(ps[-1] * ps[1])
+            pows.append(ps)
+        out = np.zeros(n_monomials(self.degree), dtype=dtype)
+        for c, e in zip(self.coeffs, exps(self.degree)):
+            if c != 0:
+                factors = [pows[v][k] for v, k in enumerate(e) if k] or [one]
+                term = factors[0]
+                for f in factors[1:]:
+                    term = term * f
+                out = out + c * term.coeffs
+        return HPoly(self.degree, out)
 
     # serialization (schema shared with EquivariantMap)
 
     def to_json_dict(self):
-        e = exps(self.degree)
-        terms = []
-        for t in range(len(e)):
-            c = complex(self.coeffs[t])
-            if c != 0:
-                terms.append({"e": [int(v) for v in e[t]], "re": c.real, "im": c.imag})
+        terms = [{"e": list(e), "re": complex(c).real, "im": complex(c).imag}
+                 for e, c in self.terms().items()]
         return {"degree": self.degree, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, d):
-        p = cls(d["degree"])
-        idx = monomial_index(d["degree"])
-        for t in d["terms"]:
-            p.coeffs[idx[tuple(t["e"])]] = t["re"] + 1j * t["im"]
-        return p
+        return cls.from_terms(d["degree"], {tuple(t["e"]): t["re"] + 1j * t["im"] for t in d["terms"]})
 
     def __repr__(self):
-        nz = int(np.count_nonzero(self.coeffs)) if not self.is_object else sum(1 for c in self.coeffs if c != 0)
-        return f"HPoly(degree={self.degree}, terms={nz})"
+        return f"HPoly(degree={self.degree}, terms={len(np.flatnonzero(self.coeffs))})"
 
 
 # --- operations on polynomials -----------------------------------------------
 
-def compose(p, maps):
-    """p(g1, g2, g3): three equal-degree polynomials substituted for the variables of p."""
-    obj = p.is_object or any(g.is_object for g in maps)
-    one = HPoly(0, np.ones(1, dtype=object if obj else np.complex128))
-    pows = []
-    for g in maps:
-        ps = [one]
-        for _ in range(p.degree):
-            ps.append(ps[-1] * g)
-        pows.append(ps)
-    d = p.degree * maps[0].degree
-    out = np.zeros(n_monomials(d), dtype=one.coeffs.dtype)
-    for c, (i, j, k) in zip(p.coeffs, exps(p.degree)):
-        if c != 0:
-            out = out + c * (pows[0][i] * pows[1][j] * pows[2][k]).coeffs
-    return HPoly(d, out)
+def _ring_div(a, b):
+    """a / b, staying in the integers when both are ints and b divides a."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a // b if a % b == 0 else Fraction(a, b)
+    return a / b
+
+
+def divide_exact(n, d):
+    """The quotient n / d by lex-ordered reduction; ArithmeticError if d does not divide n.
+
+    A single divisor is a Groebner basis of the ideal it generates, so while
+    d divides n every leading term of the remainder is a multiple of d's
+    leading term, and the first one that is not proves that d does not
+    divide n.
+    """
+    ed = exps(d.degree)
+    nz = np.flatnonzero(d.coeffs)
+    if n.degree < d.degree or len(nz) == 0:
+        raise ArithmeticError(f"a degree-{d.degree} form cannot divide a degree-{n.degree} one")
+    lead, cd = ed[nz[0]], d.coeffs[nz[0]]
+    rem = n.coeffs.copy()
+    q = HPoly(n.degree - d.degree, dtype=np.result_type(n.coeffs, d.coeffs))
+    for t, e in enumerate(exps(n.degree) - lead):
+        if not rem[t]:
+            continue
+        if e.min() < 0:
+            raise ArithmeticError(f"not divisible: remainder term {tuple((e + lead).tolist())}")
+        c = _ring_div(rem[t], cd)
+        q.coeffs[monomial_index(q.degree, e)] = c
+        idx = monomial_index(n.degree, e + ed[nz])
+        rem[idx] = rem[idx] - c * d.coeffs[nz]
+    return q
 
 
 def det3(rows):
-    """Determinant of a 3x3 matrix of HPoly entries."""
+    """Determinant of a 3x3 matrix of HPoly entries or scalars."""
     a, b, c = rows[0]
     d, e, f = rows[1]
     g, h, i = rows[2]
     return (a * (e * i - f * h) - b * (d * i - f * g)) + c * (d * h - e * g)
+
+
+def adj3(m):
+    """Adjugates of 3x3 matrices stacked over the leading axes."""
+    a = np.array([1, 2, 0])
+    b = np.array([2, 0, 1])
+    # adj[i, j] = m[a_j, a_i] m[b_j, b_i] - m[a_j, b_i] m[b_j, a_i]
+    return (m[..., a[None, :], a[:, None]] * m[..., b[None, :], b[:, None]]
+            - m[..., a[None, :], b[:, None]] * m[..., b[None, :], a[:, None]])
+
+
+def inv3(m):
+    """Inverse of a 3x3 matrix: np.linalg.inv for numeric dtypes, adjugate over
+    determinant for object arrays (Fraction, mpmath), which np.linalg cannot take."""
+    m = np.asarray(m)
+    if m.dtype != object:
+        return np.linalg.inv(m)
+    adj = adj3(m)
+    return adj / (m[0] @ adj[:, 0])
 
 
 def hessian_matrix(p):
@@ -364,9 +389,6 @@ class EquivariantMap:
     def __sub__(self, other):
         return EquivariantMap([a - b for a, b in zip(self.components, other.components)])
 
-    def scale(self, s):
-        return EquivariantMap([c.scale(s) for c in self.components])
-
     def jacobian_matrix(self):
         return [[c.diff(v) for v in range(3)] for c in self.components]
 
@@ -389,9 +411,5 @@ class EquivariantMap:
 
 
 def identity_times(poly):
-    """The map poly(x) * [x1, x2, x3]."""
-    d = poly.degree
-    x1 = HPoly.from_terms(1, {(1, 0, 0): 1.0})
-    x2 = HPoly.from_terms(1, {(0, 1, 0): 1.0})
-    x3 = HPoly.from_terms(1, {(0, 0, 1): 1.0})
-    return EquivariantMap([poly * x1, poly * x2, poly * x3])
+    """The map poly(x) * [x1, x2, x3], in poly's dtype."""
+    return EquivariantMap([poly * HPoly(1, row) for row in np.eye(3, dtype=poly.coeffs.dtype)])

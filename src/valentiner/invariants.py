@@ -7,10 +7,10 @@ degree-6 form has the integer table
         - 135 y1 y2 y3^4 + 27 y3^6
 
 and the whole chain of differential determinants stays integral.  The
-module keeps two parallel representations: exact dict polynomials over
-the integers (reference, built once) and dense complex HPoly objects
-(fast lane).  Frames other than bub22 get their invariants by linear
-substitution.
+chain is built once over the integers (HPoly with Python-int
+coefficients); bub22's complex lane is its complex cast, and any other
+frame gets its degree-6 form by linear substitution and rebuilds the
+chain through the same determinants in complex128.
 """
 
 from dataclasses import dataclass
@@ -18,12 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exactpoly as xp
 from .context import CTX64
 from .errors import NormalizationFailure
 from .frames import bub_frame, frame_by_name
 from .group import conic_forms_octahedral, transport_conics
-from .hpoly import HPoly, monomial_index
+from .hpoly import (HPoly, bordered_hessian_det, grad_cross, hessian_det, jacobian_det,
+                    monomial_index)
 
 ALPHA_PHI = Fraction(-1, 20250)
 ALPHA_PSI = Fraction(1, 24300)
@@ -48,20 +48,26 @@ G48_TABLE = {(8, 0): 14, (6, 1): 180, (4, 2): 1701, (2, 3): 3402, (0, 4): 5103}
 G48_SCALE = -13718  # -2 * 19^3
 
 
+def _integral(p, alpha):
+    """alpha * p, which must have integer coefficients."""
+    c = p.coeffs * alpha
+    if any(v.denominator != 1 for v in c):
+        raise NormalizationFailure(f"degree-{p.degree} invariant is not integral after scaling")
+    return HPoly(p.degree, np.array([int(v) for v in c], dtype=object))
+
+
 def _exact_chain():
     """Integer tables of F, Phi, Psi, X and the three cross maps."""
-    f = dict(F_BUB_TERMS)
-    phi = xp.xdivide_scalar(xp.xhessian_det(f), 1 / ALPHA_PHI)
-    psi = xp.xdivide_scalar(xp.xbordered_hessian_det(f, phi), 1 / ALPHA_PSI)
-    x45 = xp.xdivide_scalar(xp.xjacobian_det(f, phi, psi), 1 / ALPHA_X)
-    if phi.get((11, 1, 0)) != 6 or psi.get((0, 0, 30)) != 57395628:
+    f = HPoly.from_terms(6, F_BUB_TERMS, dtype=object)
+    phi = _integral(hessian_det(f), ALPHA_PHI)
+    psi = _integral(bordered_hessian_det(f, phi), ALPHA_PSI)
+    x45 = _integral(jacobian_det(f, phi, psi), ALPHA_X)
+    phi_t, psi_t, x45_t = phi.terms(), psi.terms(), x45.terms()
+    if phi_t.get((11, 1, 0)) != 6 or psi_t.get((0, 0, 30)) != 57395628:
         raise NormalizationFailure("degree-12/30 anchors broken")
-    if x45.get((45, 0, 0)) != 1 or x45.get((0, 5, 40)) != 3570467226624:
+    if x45_t.get((45, 0, 0)) != 1 or x45_t.get((0, 5, 40)) != 3570467226624:
         raise NormalizationFailure("degree-45 anchors broken")
-    psi16 = xp.xgrad_cross(f, phi)
-    phi34 = xp.xgrad_cross(f, psi)
-    f40 = xp.xgrad_cross(phi, psi)
-    return f, phi, psi, x45, psi16, phi34, f40
+    return f, phi, psi, x45, grad_cross(f, phi), grad_cross(f, psi), grad_cross(phi, psi)
 
 
 _CHAIN = None
@@ -72,14 +78,6 @@ def exact_chain():
     if _CHAIN is None:
         _CHAIN = _exact_chain()
     return _CHAIN
-
-
-def exact_g48():
-    f, phi = exact_chain()[:2]
-    acc = {}
-    for (a, b), c in G48_TABLE.items():
-        acc = xp.xadd(acc, xp.xscale(xp.xmul(xp.xpow(f, a), xp.xpow(phi, b)), c))
-    return xp.xscale(acc, G48_SCALE)
 
 
 @dataclass
@@ -119,37 +117,31 @@ def build_invariants(frame_name="bub22", ctx=CTX64):
     stay literally true in every frame.
     """
     frame = frame_by_name(frame_name, ctx)
+    barred_o, unbarred_o = conic_forms_octahedral(ctx)
     f_x, phi_x, psi_x, x45_x = exact_chain()[:4]
     if frame_name == "bub22":
-        fh = xp.to_hpoly(f_x, 6)
-        phih = xp.to_hpoly(phi_x, 12)
-        psih = xp.to_hpoly(psi_x, 30)
-        xh = xp.to_hpoly(x45_x, 45)
-        g48 = xp.to_hpoly(exact_g48(), 48)
-        barred_o, unbarred_o = conic_forms_octahedral(ctx)
+        fh, phih, psih, xh, g48 = (p.astype(complex) for p in
+                                   (f_x, phi_x, psi_x, x45_x, _g48_from(f_x, phi_x)))
         tb, tu = transport_conics(barred_o, unbarred_o, frame, normalize_bub=True)
     else:
         bub = bub_frame(ctx)
         # bub coordinates of a point with frame coordinates y': y = M_bub^-1 M_frame y'
         m = np.asarray(bub.from_octahedral, dtype=complex) @ np.asarray(frame.to_octahedral, dtype=complex)
-        fh = xp.to_hpoly(f_x, 6).compose_linear(m)
+        fh = f_x.astype(complex).compose_linear(m)
         # anchor: unit coefficient on the pure power of the first coordinate
-        lead = fh.coeffs[monomial_index(6)[(6, 0, 0)]]
+        lead = fh.coeffs[monomial_index(6, (6, 0, 0))]
         if abs(lead) < 1e-12:
             raise NormalizationFailure(f"no x1^6 anchor available in frame {frame_name}")
         fh = fh.scale(1.0 / lead)
-        from .hpoly import bordered_hessian_det, hessian_det, jacobian_det
-
         phih = hessian_det(fh).scale(float(ALPHA_PHI)).cleanup()
         psih = bordered_hessian_det(fh, phih).scale(float(ALPHA_PSI)).cleanup()
         xh = jacobian_det(fh, phih, psih).scale(float(ALPHA_X)).cleanup()
         g48 = _g48_from(fh, phih).cleanup()
-        barred_o, unbarred_o = conic_forms_octahedral(ctx)
         tb, tu = transport_conics(barred_o, unbarred_o, frame, normalize_bub=False)
     # the degree-12 conic products use the conic-swap-symmetric convention:
     # each form rescaled to unit coefficient on the last squared variable
     # (in bub22 this makes B12 and U12 exact conjugates)
-    idxq = monomial_index(2)[(0, 0, 2)]
+    idxq = monomial_index(2, (0, 0, 2))
 
     def prod12(forms):
         acc = None

@@ -31,7 +31,7 @@ from .context import CTX64
 from .equivariants import registry
 from .errors import (DegenerateDenominator, DegenerateFrame, DegenerateParams,
                      NotOnSexticCurve, OnSexticCurve)
-from .hpoly import HPoly, exps, hessian_det, monomial_index
+from .hpoly import HPoly, adj3, exps, hessian_det, monomial_index
 
 SQ15 = np.sqrt(15.0)
 
@@ -230,6 +230,12 @@ def _load_table(name):
         return json.load(f)
 
 
+def _table_row(terms):
+    """(monomial indices, clongdouble coefficients) of one {"i,j,k": w} row."""
+    e = [[int(v) for v in k.split(",")] for k in terms]
+    return monomial_index(6, e), np.array([float(w) for w in terms.values()], dtype=np.clongdouble)
+
+
 _FY = None
 _FV = None
 
@@ -238,10 +244,7 @@ def fy_table():
     global _FY
     if _FY is None:
         raw = _load_table("fy_table.json")
-        _FY = {}
-        for ykey, terms in raw.items():
-            b, c = (int(v) for v in ykey.split(","))
-            _FY[(b, c)] = {tuple(int(v) for v in k.split(",")): float(w) for k, w in terms.items()}
+        _FY = {tuple(int(v) for v in ykey.split(",")): _table_row(terms) for ykey, terms in raw.items()}
     return _FY
 
 
@@ -249,43 +252,26 @@ def fv_table():
     global _FV
     if _FV is None:
         raw = _load_table("fv_table.json")
-        _FV = {}
-        for vkey, terms in raw.items():
-            _FV[int(vkey)] = {tuple(int(v) for v in k.split(",")): float(w) for k, w in terms.items()}
+        _FV = {int(vkey): _table_row(terms) for vkey, terms in raw.items()}
     return _FV
 
 
 def f6_general(y1, y2):
     """The degree-6 form of the general family at parameters (Y1, Y2)."""
-    idx = monomial_index(6)
     p = HPoly(6, np.zeros(28, dtype=np.clongdouble))
     y1 = np.clongdouble(y1)
     y2 = np.clongdouble(y2)
-    for (b, c), terms in fy_table().items():
-        w = y1 ** b * y2 ** c
-        for e, coef in terms.items():
-            p.coeffs[idx[e]] += np.clongdouble(coef) * w
+    for (b, c), (idx, coef) in fy_table().items():
+        p.coeffs[idx] += coef * (y1 ** b * y2 ** c)
     return p
 
 
 def f6_special(v):
-    idx = monomial_index(6)
     p = HPoly(6, np.zeros(28, dtype=np.clongdouble))
     v = np.clongdouble(v)
-    for b, terms in fv_table().items():
-        w = v ** b
-        for e, coef in terms.items():
-            p.coeffs[idx[e]] += np.clongdouble(coef) * w
+    for b, (idx, coef) in fv_table().items():
+        p.coeffs[idx] += coef * v ** b
     return p
-
-
-def _adj3(m):
-    """Adjugates of 3x3 matrices stacked over the leading axes."""
-    a = np.array([1, 2, 0])
-    b = np.array([2, 0, 1])
-    # adj[i, j] = m[a_j, a_i] m[b_j, b_i] - m[a_j, b_i] m[b_j, a_i]
-    return (m[..., a[None, :], a[:, None]] * m[..., b[None, :], b[:, None]]
-            - m[..., a[None, :], b[:, None]] * m[..., b[None, :], a[:, None]])
 
 
 # --- per-parameter family -------------------------------------------------------
@@ -331,8 +317,8 @@ def _invariant_chain(tables, w):
     f, gf, h, t, q = jets
     a_phi = dt(-1 / 20250.0)
     a_psi = dt(1 / 24300.0)
-    adj = _adj3(h)
-    dadj = _adj3(h + t) - adj - _adj3(t)          # d adj(H) along each d_l H
+    adj = adj3(h)
+    dadj = adj3(h + t) - adj - adj3(t)          # d adj(H) along each d_l H
     phi = a_phi * (h[0] @ adj[:, 0])
     gphi = a_phi * np.einsum("ij,kij->k", adj, t)
     hphi = a_phi * (np.einsum("lij,kij->kl", dadj, t) + np.einsum("ij,klij->kl", adj, q))
@@ -460,13 +446,11 @@ def instantiate_family(params, case="general"):
     # thirteen decades).  Rebalance each axis by the sixth root of its
     # pure-power coefficient, then normalize to unit sup norm; both
     # rescalings fold into the weight.
-    idx6 = monomial_index(6)
-    pure = [abs(f6.coeffs[idx6[(6, 0, 0)]]), abs(f6.coeffs[idx6[(0, 6, 0)]]),
-            abs(f6.coeffs[idx6[(0, 0, 6)]])]
+    pure = [abs(f6.coeffs[monomial_index(6, e)]) for e in ((6, 0, 0), (0, 6, 0), (0, 0, 6))]
     if min(pure) == 0:
         raise DegenerateParams("vanishing pure-power coefficient")
     bal = np.array([p ** (-1 / 6.0) for p in pure])
-    f6b = f6.compose_linear(np.diag(bal))
+    f6b = HPoly(6, f6.coeffs * np.prod(bal ** exps(6), axis=1))
     weight = weight * (bal[0] * bal[1] * bal[2]) ** 2
     scale = f6b.supnorm()
     if scale == 0:

@@ -28,9 +28,7 @@ import numpy as np
 
 from .context import high_context
 from .errors import FitResidualTooLarge, ValentinerError
-from .exactpoly import xeval, xgrad
-from .hpoly import exps
-from .resolvents import _adj3
+from .hpoly import EquivariantMap, exps, inv3
 
 GENERAL_Y_MONOMIALS = [(b, c) for c in range(9) for b in range(22) if 12 * b + 30 * c <= 252]
 SPECIAL_V_POWERS = list(range(9))
@@ -147,54 +145,18 @@ def select_root(table, fam, p_internal):
 
 def _mp_setup(dps):
     """Fit ingredients at mp precision; call inside mpmath.workdps(dps)."""
-    from .equivariants import h19_exact
+    from .equivariants import build_k25, h19_exact
     from .frames import bub_frame
     from .group import conic_forms_octahedral, transport_conics
     from .invariants import exact_chain
 
     ctx = high_context(dps)
-    fr = bub_frame(ctx)
     barred_o, unbarred_o = conic_forms_octahedral(ctx)
-    tb, tu = transport_conics(barred_o, unbarred_o, fr, normalize_bub=True)
-    f_x, phi_x, psi_x, x45_x = exact_chain()[:4]
-    h19, _ = h19_exact()
-    k25 = _mp_k25(fr, f_x, h19, x45_x)
-    return {"ctx": ctx, "frame": fr, "barred": tb, "unbarred": tu,
-            "F": f_x, "gradF": xgrad(f_x), "Phi": phi_x, "Psi": psi_x, "X": x45_x,
-            "h19": h19, "k25": k25}
-
-
-def _mp_k25(fr, f_x, h19, x45_x):
-    """k25 at mp: gradbar(F_oct) after grad(F_oct) in the unitary frame.
-
-    F_oct is the exact bub22 form carried to octahedral coordinates at mp
-    and anchored to unit x1^6 coefficient, as in the binary64 construction.
-    """
-    from .exactpoly import to_hpoly
-    from .hpoly import HPoly, compose, monomial_index
-
-    f_oct = to_hpoly(f_x, 6, dtype=object).compose_linear(fr.from_octahedral)
-    f_oct = f_oct.scale(1 / f_oct.coeffs[monomial_index(6)[(6, 0, 0)]])
-    gf_mp = f_oct.grad()
-    gfbar = [HPoly(5, np.array([mpmath.conj(c) for c in g.coeffs], dtype=object)) for g in gf_mp]
-    k_oct = [compose(gb, gf_mp) for gb in gfbar]
-    m = fr.to_octahedral
-    minv = fr.from_octahedral
-    comps = [c.compose_linear(m) for c in k_oct]
-    out = []
-    for r in range(3):
-        out.append(comps[0].scale(minv[r][0]) + comps[1].scale(minv[r][1]) + comps[2].scale(minv[r][2]))
-
-    def k_eval(z):
-        return np.array([c.eval(z) for c in out], dtype=object)
-
-    z = np.array([mpmath.mpc("0.32", "0.11"), mpmath.mpc("-0.74", "0.41"),
-                  mpmath.mpc("0.52", "-0.23")], dtype=object)
-    hv = np.array([xeval(c, z) for c in h19], dtype=object)
-    zhk = np.stack([z, hv, k_eval(z)], axis=1)
-    det = zhk[0] @ _adj3(zhk)[:, 0]
-    s = mpmath.mpc(-1458) * xeval(x45_x, z) / det
-    return lambda zz: k_eval(zz) * s
+    tb, tu = transport_conics(barred_o, unbarred_o, bub_frame(ctx), normalize_bub=True)
+    f, phi, psi, x45 = exact_chain()[:4]
+    h19 = EquivariantMap(h19_exact()[0])
+    return {"barred": tb, "unbarred": tu, "F": f, "gradF": f.grad(), "Phi": phi, "Psi": psi,
+            "h19": h19, "k25": build_k25(f, h19, x45, ctx)}
 
 
 def _onto_sextic_mp(setup, z):
@@ -205,9 +167,9 @@ def _onto_sextic_mp(setup, z):
     quadratically convergent steps carry 1e-16 past 70 digits.
     """
     for _ in range(6):
-        g = np.array([xeval(gk, z) for gk in setup["gradF"]], dtype=object)
+        g = np.array([gk.eval(z) for gk in setup["gradF"]], dtype=object)
         gbar = np.array([mpmath.conj(c) for c in g], dtype=object)
-        z = z - xeval(setup["F"], z) * gbar / (g @ gbar)
+        z = z - setup["F"].eval(z) * gbar / (g @ gbar)
     return z
 
 
@@ -215,49 +177,19 @@ def _w_change_mp(case):
     from fractions import Fraction
 
     if case == "general":
-        m = np.array([[8, -92, 800], [2, -104, 128], [0, 0, 6]], dtype=object)
-        adj = _adj3(m)
-        rows = adj / Fraction(m[0] @ adj[:, 0])
+        rows = inv3(np.array([[8, -92, 800], [2, -104, 128], [0, 0, 6]], dtype=object) * Fraction(1))
     else:
         rows = [[Fraction(16, 3), 0, Fraction(-10, 3)], [0, 4, 0], [1, 0, -1]]
-    return np.array([[mpmath.mpc(mpmath.mpf(r.numerator) / r.denominator) if isinstance(r, Fraction)
-                      else mpmath.mpc(r) for r in row] for row in rows], dtype=object)
-
-
-def _quad_prod_coeffs(quads):
-    """Degree-2k coefficient dict of a product of quadratic-form coefficient dicts."""
-    poly = {(0, 0, 0): mpmath.mpc(1)}
-    for q in quads:
-        new = {}
-        for e1, c1 in poly.items():
-            for e2, c2 in q.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                if e in new:
-                    new[e] += c1 * c2
-                else:
-                    new[e] = c1 * c2
-        poly = new
-    return poly
-
-
-def _gram_to_quad_dict(g):
-    q = {}
-    for a in range(3):
-        for b in range(a, 3):
-            c = g[a, a] if a == b else g[a, b] + g[b, a]
-            e = [0, 0, 0]
-            e[a] += 1
-            e[b] += 1
-            q[tuple(e)] = g[a, b] + g[b, a] if a != b else g[a, a]
-    return q
+    return np.array([[mpmath.mpc(mpmath.mpf(Fraction(r).numerator) / Fraction(r).denominator)
+                      for r in row] for row in rows], dtype=object)
 
 
 def _sample_frame_mp(setup, z, case):
     """(frame matrix at mp, quotient params at mp) for a sample point."""
-    F = xeval(setup["F"], z)
-    Phi = xeval(setup["Phi"], z)
-    Psi = xeval(setup["Psi"], z)
-    hv = np.array([xeval(c, z) for c in setup["h19"]], dtype=object)
+    F = setup["F"].eval(z)
+    Phi = setup["Phi"].eval(z)
+    Psi = setup["Psi"].eval(z)
+    hv = setup["h19"](z)
     kv = setup["k25"](z)
     zv = np.array(list(z), dtype=object)
     if case == "general":
@@ -273,27 +205,17 @@ def _sample_frame_mp(setup, z, case):
 
 def _gamma_coeffs_at_z(setup, z, case):
     """w-monomial coefficient vector of Gamma_z / norm at one sample."""
-    from .group import quad_to_gram
-
     m, params, norm = _sample_frame_mp(setup, z, case)
     conics = setup["unbarred"] if case == "general" else setup["barred"]
-    grams, cz = [], []
-    for c in conics:
-        grams.append(m.T @ quad_to_gram(c) @ m)
-        cz.append(c.eval(z))
-    quads = [_gram_to_quad_dict(g) for g in grams]
-    acc = {}
+    quads = [c.compose_linear(m) for c in conics]
+    acc = None
     for mi in range(6):
-        prod = _quad_prod_coeffs([quads[n] for n in range(6) if n != mi])
-        for e, v in prod.items():
-            t = v * cz[mi]
-            if e in acc:
-                acc[e] += t
-            else:
-                acc[e] = t
-    e10 = [tuple(int(v) for v in row) for row in exps(10)]
-    vec = np.array([acc.get(e, mpmath.mpc(0)) / norm for e in e10], dtype=object)
-    return vec, params, m
+        term = conics[mi].eval(z)
+        for n in range(6):
+            if n != mi:
+                term = quads[n] * term
+        acc = term if acc is None else acc + term
+    return acc.coeffs / norm, params, m
 
 
 def _sample_points(case, n, seed):

@@ -161,7 +161,7 @@ def conic_slice(reg, catalog):
     c1 = inv.conics_barred[0]
     from .hpoly import monomial_index
 
-    a = complex(c1.coeffs[monomial_index(2)[(1, 1, 0)]])
+    a = complex(c1.coeffs[monomial_index(2, (1, 1, 0))])
     verts = [p for p in catalog.orbit72 if abs(c1.eval(p)) < 1e-8]
     if len(verts) != 12:
         raise ChartSingularity(f"expected 12 vertices on the conic, found {len(verts)}")

@@ -4,11 +4,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
-import valentiner.exactpoly as xp
 from valentiner.equivariants import (build_h19_exact, conic_points,
                                      frame_determinant_ratio, h19_exact,
                                      verify_h19)
-from valentiner.invariants import exact_chain, exact_g48
+from valentiner.hpoly import divide_exact, identity_times, jacobian_det
+from valentiner.invariants import _g48_from, exact_chain
 from valentiner.projective import fs_distance, normalize_point, random_unit_points
 
 
@@ -18,11 +18,11 @@ def test_h19_matches_published_table():
         printed = json.load(f)
     for i in range(3):
         ref = {tuple(int(v) for v in k.split(",")): val for k, val in printed[i].items()}
-        assert ref == h19[i], f"component {i + 1} disagrees"
+        assert ref == h19[i].terms(), f"component {i + 1} disagrees"
 
 
 def test_h19_anchor_coefficients():
-    h19, _ = h19_exact()
+    h19 = [c.terms() for c in h19_exact()[0]]
     assert h19[2][(0, 0, 19)] == -1023516
     assert h19[0][(15, 4, 0)] == -3591
     assert h19[1][(19, 0, 0)] == -81
@@ -31,39 +31,33 @@ def test_h19_anchor_coefficients():
 def test_f19_definition():
     h19, f19 = h19_exact()
     f = exact_chain()[0]
-    f3 = xp.xpow(f, 3)
-    ids = ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})
+    f3_id = identity_times(f.pow(3)).components
     for i in range(3):
-        recon = xp.xadd(xp.xscale(xp.xmul(f3, ids[i]), 1620), f19[i])
-        assert recon == h19[i]
+        recon = f3_id[i].scale(1620) + f19[i]
+        assert recon.terms() == h19[i].terms()
 
 
 def test_f64_divisible_by_x45():
     _, f19 = h19_exact()
     x45 = exact_chain()[3]
-    f64 = [xp.xmul(c, x45) for c in f19]
+    f64 = [c * x45 for c in f19]
     for c, q in zip(f64, f19):
-        assert xp.xdivide_exact(c, x45) == q
+        assert divide_exact(c, x45).terms() == q.terms()
 
 
 def test_jacobian_factorization_exact():
     h19, _ = h19_exact()
-    j = xp.xjacobian_det(h19[0], h19[1], h19[2])
-    fg = xp.xmul(exact_chain()[0], exact_g48())
-    assert xp.xdivide_exact(j, fg) == {(0, 0, 0): 1}
+    j = jacobian_det(*h19)
+    f, phi = exact_chain()[:2]
+    fg = f * _g48_from(f, phi)
+    assert divide_exact(j, fg).terms() == {(0, 0, 0): 1}
 
 
 def test_promotion_basis_rank_14():
     from valentiner.equivariants import _exact_basis_64
 
     basis = _exact_basis_64()
-    keys = sorted({(i, e) for b in basis for i in range(3) for e in b[i]})
-    key_index = {k: t for t, k in enumerate(keys)}
-    m = np.zeros((len(keys), 14), dtype=complex)
-    for col, b in enumerate(basis):
-        for i in range(3):
-            for e, c in b[i].items():
-                m[key_index[(i, e)], col] = complex(c)
+    m = np.array([np.concatenate([c.coeffs for c in b]) for b in basis]).T.astype(complex)
     assert np.linalg.matrix_rank(m / np.max(np.abs(m))) == 14
 
 
@@ -131,8 +125,8 @@ def test_bub_symmetry_of_h19(reg, rng):
 
 def test_critical_degree():
     h19, _ = h19_exact()
-    j = xp.xjacobian_det(h19[0], h19[1], h19[2])
-    assert max(sum(e) for e in j) == 54
+    j = jacobian_det(*h19)
+    assert max(sum(e) for e in j.terms()) == 54
 
 
 def test_conic_points_helper(reg, rng):

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valentiner.hpoly import (EquivariantMap, HPoly, bordered_hessian_det, grad_cross,
-                              hessian_det, jacobian_det)
+from valentiner.hpoly import (EquivariantMap, HPoly, bordered_hessian_det, divide_exact, exps,
+                              grad_cross, hessian_det, jacobian_det, monomial_index, n_monomials)
 
 
 def _random_poly(rng, degree):
-    from valentiner.hpoly import n_monomials
-
     return HPoly(degree, rng.standard_normal(n_monomials(degree))
                  + 1j * rng.standard_normal(n_monomials(degree)))
 
@@ -24,7 +22,6 @@ def test_eval_homogeneity(rng):
 @pytest.mark.parametrize("degree", [0, 6, 19, 45])
 def test_eval_many_dtype_contract(rng, degree):
     """eval_many agrees with pointwise eval and keeps the dtype its inputs give."""
-    from valentiner.hpoly import n_monomials
     from valentiner.resolvents import f6_general
 
     def check(p, pts, dtype):
@@ -124,3 +121,43 @@ def test_json_roundtrip(rng):
     m2 = EquivariantMap.from_json_dict(m.to_json_dict())
     for a, b in zip(m.components, m2.components):
         assert np.allclose(a.coeffs, b.coeffs)
+
+
+def test_closed_form_monomial_index():
+    for d in range(65):
+        rows = [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
+        assert exps(d).tolist() == [list(r) for r in rows]
+        assert monomial_index(d, np.array(rows)).tolist() == list(range(len(rows)))
+
+
+def test_mul_dtype_contract(rng):
+    """int x int stays exact, clongdouble x complex128 gives clongdouble, and
+    the complex128 product equals a dense scatter-add over all coefficient pairs."""
+    big = HPoly(3, np.array([3 ** 40 * (t - 4) for t in range(10)], dtype=object))
+    sq = big * big
+    assert sq.coeffs.dtype == object and all(isinstance(c, int) for c in sq.coeffs)
+    assert sq.eval((2, -1, 5)) == big.eval((2, -1, 5)) ** 2
+
+    p = _random_poly(rng, 7)
+    p.coeffs[rng.choice(n_monomials(7), 12, replace=False)] = 0
+    q = _random_poly(rng, 5)
+    assert (p.astype(np.clongdouble) * q).coeffs.dtype == np.clongdouble
+
+    ea, eb = exps(7), exps(5)
+    tab = np.array([[monomial_index(12, a + b) for b in eb] for a in ea])
+    ref = np.zeros(n_monomials(12), dtype=np.complex128)
+    np.add.at(ref, tab.ravel(), np.outer(p.coeffs, q.coeffs).ravel())
+    out = (p * q).coeffs
+    assert out.dtype == np.complex128 and np.array_equal(out, ref)
+
+
+def test_divide_exact():
+    x = HPoly.from_terms(1, {(1, 0, 0): 1}, dtype=object)
+    y = HPoly.from_terms(1, {(0, 1, 0): 1}, dtype=object)
+    d = x * x - y.scale(3) * y
+    q = x.scale(2) - y
+    assert divide_exact(q * d, d).terms() == q.terms()
+    with pytest.raises(ArithmeticError):
+        divide_exact(q * d + y.pow(3), d)
+    with pytest.raises(ArithmeticError):
+        divide_exact(x, d)

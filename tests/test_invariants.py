@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-import valentiner.exactpoly as xp
 from valentiner.hpoly import monomial_index
-from valentiner.invariants import (F_BUB_TERMS, build_invariants, exact_chain,
-                                   exact_g48, verify_relations)
+from valentiner.invariants import (F_BUB_TERMS, _g48_from, build_invariants, exact_chain,
+                                   verify_relations)
 from valentiner.projective import random_unit_points
 
 RHO = np.exp(2j * np.pi / 3)
 
 
 def test_exact_chain_anchors():
-    f, phi, psi, x45 = exact_chain()[:4]
+    f, phi, psi, x45 = (p.terms() for p in exact_chain()[:4])
     assert f == F_BUB_TERMS
     assert phi[(11, 1, 0)] == 6 and phi[(0, 0, 12)] == 729
     assert psi[(30, 0, 0)] == 3 and psi[(0, 0, 30)] == 57395628
@@ -23,20 +22,19 @@ def test_exact_chain_anchors():
 def test_reconstructed_degree_six_term():
     # the published table shows a degree-4 monomial inside the degree-6 form;
     # the reconstruction from conic cubes puts the coefficient 9 on y2^5 y3
-    f = exact_chain()[0]
+    f = exact_chain()[0].terms()
     assert f[(0, 5, 1)] == 9
     assert (0, 3, 1) not in f
 
 
 def test_f_from_both_conic_systems(inv):
-    idx = monomial_index(6)
     fb = None
     fu = None
     for system in (inv.conics_barred, inv.conics_unbarred):
         acc = system[0].pow(3)
         for c in system[1:]:
             acc = acc + c.pow(3)
-        acc = acc.scale(27.0 / acc.coeffs[idx[(0, 0, 6)]])
+        acc = acc.scale(27.0 / acc.coeffs[monomial_index(6, (0, 0, 6))])
         if fb is None:
             fb = acc
         else:
@@ -47,13 +45,12 @@ def test_f_from_both_conic_systems(inv):
 
 def test_octahedral_f_matches_published():
     invo = build_invariants("octahedral")
-    idx = monomial_index(6)
-    c = invo.F.coeffs
+    c = invo.F.terms()
     s5 = np.sqrt(5)
-    assert abs(c[idx[(6, 0, 0)]] - 1) < 1e-12
-    assert abs(c[idx[(2, 2, 2)]] - 3 * (5 - np.sqrt(15) * 1j)) < 1e-10
-    assert abs(c[idx[(4, 2, 0)]] - 0.75 * (2 * s5 - (5 - s5) * RHO)) < 1e-10
-    assert abs(c[idx[(4, 0, 2)]] + 0.75 * (2 * s5 + (5 + s5) * RHO ** 2)) < 1e-10
+    assert abs(c[(6, 0, 0)] - 1) < 1e-12
+    assert abs(c[(2, 2, 2)] - 3 * (5 - np.sqrt(15) * 1j)) < 1e-10
+    assert abs(c[(4, 2, 0)] - 0.75 * (2 * s5 - (5 - s5) * RHO)) < 1e-10
+    assert abs(c[(4, 0, 2)] + 0.75 * (2 * s5 + (5 + s5) * RHO ** 2)) < 1e-10
 
 
 def test_pure_point_evaluations(inv):
@@ -101,8 +98,8 @@ def test_x_sign_character(group_bub, inv, rng):
 
 
 def test_g48_exact_tables():
-    g = exact_g48()
     f, phi = exact_chain()[:2]
+    g = _g48_from(f, phi).terms()
     # sanity: it is the stated combination (already by construction) and integral
     assert all(isinstance(c, int) for c in g.values())
     assert max(abs(c) for c in g.values()) > 0

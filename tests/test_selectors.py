@@ -161,3 +161,29 @@ def test_roots_from_both_cycle_points_agree(selector_special, reg, inv, rng):
     roots = np.roots(np.concatenate([[1.0], coeffs]))
     assert np.min(np.abs(u1 - roots)) / abs(u1) < 1e-4
     assert np.min(np.abs(u2 - roots)) / abs(u2) < 1e-4
+
+
+@pytest.mark.parametrize("case", ["general", "special"])
+def test_fit_ingredients_match_shipped_table(case, selector_general, selector_special):
+    """The dps-30 w-coefficients of Gamma at a fit sample agree with the
+    shipped table's prediction at that sample's parameters."""
+    import mpmath
+
+    from valentiner.selectors import (_gamma_coeffs_at_z, _mp_setup, _onto_sextic_mp,
+                                      _sample_points)
+
+    table = selector_general if case == "general" else selector_special
+    (z,) = _sample_points(case, 1, 1234)
+    with mpmath.workdps(30):
+        setup = _mp_setup(30)
+        zmp = np.array([mpmath.mpc(c) for c in z], dtype=object)
+        if case == "special":
+            zmp = _onto_sextic_mp(setup, zmp)
+        vec, params, _ = _gamma_coeffs_at_z(setup, zmp, case)
+    vec = np.array([complex(v) for v in vec])
+    p = [complex(v) for v in params]
+    if case == "general":
+        basis = np.array([p[0] ** b * p[1] ** c for b, c in table.basis])
+    else:
+        basis = np.array([p[0] ** k for k in table.basis])
+    assert np.max(np.abs(table.coefficients @ basis - vec)) < 1e-9 * np.max(np.abs(vec))
