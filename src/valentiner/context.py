@@ -3,12 +3,12 @@
 Two scalar backends sit behind the same small interface: numpy complex128
 (the default) and mpmath arbitrary precision (used for the selector
 coefficient fit and for high-precision re-runs).  A :class:`Context` pins
-one backend together with its working precision.
+one backend together with its working precision.  mpmath is imported only
+inside the high-precision branches, so binary64 work never loads it.
 """
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 
@@ -27,12 +27,16 @@ class Context:
 
     def scalar(self, re, im=0):
         if self.is_high:
+            import mpmath
+
             with mpmath.workdps(self.dps):
                 return mpmath.mpc(re, im)
         return complex(re, im)
 
     def sqrt(self, x):
         if self.is_high:
+            import mpmath
+
             with mpmath.workdps(self.dps):
                 return mpmath.sqrt(x)
         return np.sqrt(complex(x) if (isinstance(x, complex) or x < 0) else float(x))
@@ -40,6 +44,8 @@ class Context:
     def exp_2pi_i(self, frac):
         """e^{2 pi i * frac}."""
         if self.is_high:
+            import mpmath
+
             with mpmath.workdps(self.dps):
                 return mpmath.exp(2j * mpmath.pi * mpmath.mpf(frac))
         return np.exp(2j * np.pi * frac)
@@ -58,7 +64,11 @@ class Context:
     @property
     def rho(self):
         """Primitive cube root of unity."""
-        return self.exp_2pi_i(mpmath.mpf(1) / 3 if self.is_high else 1.0 / 3.0)
+        if self.is_high:
+            import mpmath
+
+            return self.exp_2pi_i(mpmath.mpf(1) / 3)
+        return self.exp_2pi_i(1.0 / 3.0)
 
     @property
     def tau(self):

@@ -2,11 +2,14 @@
 
 Trajectories of the degree-19 family maps converge (conjecturally, on a
 full-measure set) to period-2 cycles lying over the 72-point orbit.  The
-cycle detector compares w_{k+2} with w_k, so it needs no prior knowledge
-of the attractor; membership is then certified by the vanishing of the
-family's degree-6 and degree-12 forms, after a Newton polish onto their
-common zero locus (the trajectory only approaches the attractor, and the
-polish lands the candidate pair on it before root selection).
+family's sextic curve F = 0 is critical for the map (J(h19) = F G48), and
+the 72 points lie on it, so these cycles are superattracting: once the
+trajectory is near the orbit, each step roughly squares its distance to
+it.  The solver therefore certifies trajectory points as they come, by
+the vanishing of the family's degree-6 and degree-12 forms, and hands the
+first certified consecutive pair straight to root selection.
+`polish_72point` (Newton onto the common zero locus) pins exact
+72-points for the selector calibration; the solve path does not use it.
 """
 
 from dataclasses import dataclass
@@ -18,16 +21,21 @@ from .projective import fs_distance, normalize_point
 from .resolvents import eval_monic
 
 
-def _newton_root(coeffs, u, steps=4):
+NEWTON_MAX_STEPS = 16
+
+
+def _newton_root(coeffs, u):
     """Sharpen a selected root on its sextic and report the last step size.
 
     The selector picks which root; Newton removes its evaluation noise.
-    The final |R/R'| bounds the distance to the nearest true root, which is
-    the meaningful convergence gate (the raw |R| scale collapses when all
-    six roots are small).
+    Steps continue while |R/R'| shrinks, so a start that needs five steps
+    gets them, and stop at the roundoff floor, where the step no longer
+    decreases.  The last step taken bounds the distance to the nearest
+    true root, which is the meaningful convergence gate (the raw |R| scale
+    collapses when all six roots are small).
     """
     last = np.inf
-    for _ in range(steps):
+    for _ in range(NEWTON_MAX_STEPS):
         f = eval_monic(coeffs, u)
         d = 6 * u ** 5
         for k, c in enumerate(coeffs[:-1]):
@@ -37,6 +45,8 @@ def _newton_root(coeffs, u, steps=4):
         step = f / d
         if not np.isfinite(step.real) or abs(step) > 0.5 * max(abs(u), 1e-6):
             return u, np.inf
+        if abs(step) >= last:
+            break
         u = u - step
         last = abs(step)
     return u, last
@@ -61,7 +71,10 @@ class RootResult:
     iterations: int
     restarts_used: int
     converged: bool = True
-    strict_cycle: bool = True   # period-2 confirmed through polished points
+    # the pair is two consecutive iterates, both certified on the 72-point
+    # locus; h maps that orbit onto itself in two-cycles, so every result
+    # of solve_resolvent carries True (kept for the JSON schema)
+    strict_cycle: bool = True
 
     def to_json_dict(self):
         return {
@@ -140,78 +153,41 @@ def polish_72point(fam, w, steps=40, tol=1e-13):
     return normalize_point(w + ab[0] * u + ab[1] * v)
 
 
-def certified_cycle(fam, w0, cfg, trigger=0.02):
-    """Iterate to the attractor, polish a candidate period-2 pair, certify.
+def certified_cycle(fam, w0, cfg):
+    """Iterate to the attractor and return the first certified pair.
 
-    Once the certificate indicates proximity, two consecutive trajectory
-    points are polished onto {F = 0, Phi = 0} by Newton, and the period-2
-    property is confirmed through the images of the polished pair.  Pairs
-    that fail that confirmation are kept as a fallback; either way the
-    caller's resolvent residual is the binding acceptance test.  A step
-    whose image is zero or not finite (the family map's denominator X
-    vanishes on the 45 mirror lines) ends the restart.
+    The first consecutive pair (w_{k-1}, w_k) whose points both certify on
+    {F = 0, Phi = 0} and lie at least 1e-8 apart is returned as it stands:
+    the cycles over the 72-point orbit are superattracting, so the map
+    itself lands the trajectory on the locus to machine precision.  Each
+    new point is certified once.  A restart ends at a fixed point (a
+    certified pair closer than 1e-8), at a cycle settled off the locus
+    (fs(w_k, w_{k-2}) < cycle_tolerance without a certified pair), at a
+    non-finite image (the family map's denominator X vanishes on the 45
+    mirror lines) or after max_iterations steps.
 
-    Returns (pair, iterations, strict) or (None, iterations, False).
+    Returns (pair, iterations, True) or (None, iterations, False).
     """
     w = normalize_point(np.asarray(w0, dtype=complex))
     prev = [w]
-    fallback = None
-    best_transient = (np.inf, None)
+    cert_prev = np.inf
+    k = 0
     for k in range(cfg.max_iterations):
         w = fam.h(prev[-1])
         nrm = np.linalg.norm(w)
         if not np.isfinite(nrm) or nrm == 0:
             break
         w = w / nrm
-        prev.append(w)
-        if len(prev) < 3:
-            continue
-        settled = fs_distance(prev[-1], prev[-3]) < cfg.cycle_tolerance
-        cert_now = max(fam.certificate(w))
-        if cert_now < best_transient[0]:
-            best_transient = (cert_now, w.copy())
-        if settled and cert_now > 100 * cfg.certificate_tolerance:
+        prev = prev[-2:] + [w]
+        cert = max(fam.certificate(w))
+        if max(cert, cert_prev) < cfg.certificate_tolerance:
+            if fs_distance(prev[-2], w) < 1e-8:
+                break  # a fixed point, not a two-cycle
+            return (normalize_point(prev[-2]), normalize_point(w)), k + 1, True
+        if len(prev) == 3 and fs_distance(w, prev[0]) < cfg.cycle_tolerance:
             break  # settled on a cycle off the invariant locus
-        near = cert_now < trigger and max(fam.certificate(prev[-2])) < trigger
-        if not (settled or near):
-            continue
-        try:
-            p1 = polish_72point(fam, prev[-2])
-            p2 = polish_72point(fam, prev[-1])
-        except NotAConvergedCycle:
-            continue
-        if fs_distance(p1, p2) < 1e-8:
-            continue  # a fixed point, not a two-cycle
-        if max(*fam.certificate(p1), *fam.certificate(p2)) > cfg.certificate_tolerance:
-            continue
-        strict = False
-        try:
-            h1 = fam.h(p1)
-            q2 = polish_72point(fam, h1 / np.linalg.norm(h1))
-            h2 = fam.h(p2)
-            q1 = polish_72point(fam, h2 / np.linalg.norm(h2))
-            strict = fs_distance(q2, p2) < 1e-6 and fs_distance(q1, p1) < 1e-6
-        except NotAConvergedCycle:
-            strict = False
-        if strict:
-            return (p1, p2), k + 1, True
-        if fallback is None:
-            fallback = ((p1, p2), k + 1)
-    if fallback is not None:
-        return fallback[0], fallback[1], False
-    # last resort: the trajectory grazed the invariant locus without a
-    # settled pair; polish the closest pass (root extraction needs only a
-    # certified point of the locus, with its image-polish as companion)
-    if best_transient[1] is not None and best_transient[0] < trigger:
-        try:
-            p1 = polish_72point(fam, best_transient[1])
-            h1 = fam.h(p1)
-            p2 = polish_72point(fam, h1 / np.linalg.norm(h1))
-            if max(*fam.certificate(p1), *fam.certificate(p2)) < cfg.certificate_tolerance                     and fs_distance(p1, p2) > 1e-8:
-                return (p1, p2), cfg.max_iterations, False
-        except NotAConvergedCycle:
-            pass
-    return None, cfg.max_iterations, False
+        cert_prev = cert
+    return None, k + 1, False
 
 
 def solve_resolvent(params, case="general", cfg=None, selector_table=None):
@@ -231,26 +207,13 @@ def solve_resolvent(params, case="general", cfg=None, selector_table=None):
     coeffs = resolvent_ry(*params) if case == "general" else resolvent_tv(params[0])
     cscale = float(np.max(np.abs(coeffs)))
     best = None
-    fallbacks = []
     for attempt in range(cfg.restarts):
         w0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        pair, iters, strict = certified_cycle(fam, w0, cfg)
+        pair, iters, _ = certified_cycle(fam, w0, cfg)
         if pair is None:
             continue
-        if not strict:
-            fallbacks.append((pair, iters, attempt + 1))
-            continue
         result, gate = _rooted_result(table, fam, pair, coeffs, cscale, case, params,
-                                      iters, attempt + 1, True)
-        if result.residual < cfg.certificate_tolerance and gate < 1e-6:
-            return result
-        if best is None or result.residual < best.residual:
-            best = result
-    # no strictly verified two-cycle: fall back to certified invariant-locus
-    # pairs; the resolvent residual remains the binding acceptance test
-    for pair, iters, attempt in fallbacks:
-        result, gate = _rooted_result(table, fam, pair, coeffs, cscale, case, params,
-                                      iters, attempt, False)
+                                      iters, attempt + 1)
         if result.residual < cfg.certificate_tolerance and gate < 1e-6:
             return result
         if best is None or result.residual < best.residual:
@@ -261,8 +224,7 @@ def solve_resolvent(params, case="general", cfg=None, selector_table=None):
     raise AllRestartsFailed(f"no certified cycle in {cfg.restarts} restarts")
 
 
-def _rooted_result(table, fam, pair, coeffs, cscale, case, params, iters, attempt,
-                   strict):
+def _rooted_result(table, fam, pair, coeffs, cscale, case, params, iters, attempt):
     from .selectors import select_root
 
     root, step = _newton_root(coeffs, select_root(table, fam, pair[0]))
@@ -273,5 +235,4 @@ def _rooted_result(table, fam, pair, coeffs, cscale, case, params, iters, attemp
     gate = step / max(abs(root), 1e-12)
     return RootResult(case, tuple(params), complex(root),
                       float(max(resid, gate * 1e-12)),
-                      (tuple(pair[0]), tuple(pair[1])), iters, attempt,
-                      strict_cycle=strict), gate
+                      (tuple(pair[0]), tuple(pair[1])), iters, attempt), gate

@@ -347,6 +347,13 @@ F64_COMBINATION = (
 )
 
 
+def _cross(a, b):
+    """a x b for two 3-vectors, by components (np.cross spends far longer
+    on argument handling than on the six products)."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
 class FamilyMap:
     """The family's degree-19 map, evaluated pointwise from its degree-6 form.
 
@@ -372,9 +379,9 @@ class FamilyMap:
     def __call__(self, w):
         w = np.asarray(w, dtype=complex)
         f, gf, phi, gphi, psi, gpsi = _invariant_chain(self.jets, w)
-        cross_f_phi = np.cross(gf, gphi)
-        cross_f_psi = np.cross(gf, gpsi)
-        cross_phi_psi = np.cross(gphi, gpsi)
+        cross_f_phi = _cross(gf, gphi)
+        cross_f_psi = _cross(gf, gpsi)
+        cross_phi_psi = _cross(gphi, gpsi)
         x45 = -(gf @ cross_phi_psi) / 4860.0
         parts = {"psi": 0j, "phi": 0j, "f": 0j}
         for coef, a, b, c, wp, block in F64_COMBINATION:

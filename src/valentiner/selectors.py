@@ -11,7 +11,8 @@ and the survivor isolates one root of the resolvent.  Divided by F(z)^42
 (general) or Phi(z) Psi(z)^16 (special), the w-coefficients are
 polynomials in the quotient parameters over a fixed monomial basis; they
 are fitted once in extended precision from sample parameter points and
-cached as JSON.
+cached as JSON.  mpmath is imported inside the fit functions only: root
+extraction from a shipped or cached table runs without it.
 
 The final root constant is calibrated during the fit from samples whose
 six roots are known exactly, exercising the same code path as runtime
@@ -23,7 +24,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import mpmath
 import numpy as np
 
 from .context import high_context
@@ -166,6 +166,8 @@ def _onto_sextic_mp(setup, z):
     special selector's V-polynomial form holds only on the curve; six
     quadratically convergent steps carry 1e-16 past 70 digits.
     """
+    import mpmath
+
     for _ in range(6):
         g = np.array([gk.eval(z) for gk in setup["gradF"]], dtype=object)
         gbar = np.array([mpmath.conj(c) for c in g], dtype=object)
@@ -175,6 +177,8 @@ def _onto_sextic_mp(setup, z):
 
 def _w_change_mp(case):
     from fractions import Fraction
+
+    import mpmath
 
     if case == "general":
         rows = inv3(np.array([[8, -92, 800], [2, -104, 128], [0, 0, 6]], dtype=object) * Fraction(1))
@@ -186,6 +190,8 @@ def _w_change_mp(case):
 
 def _sample_frame_mp(setup, z, case):
     """(frame matrix at mp, quotient params at mp) for a sample point."""
+    import mpmath
+
     F = setup["F"].eval(z)
     Phi = setup["Phi"].eval(z)
     Psi = setup["Psi"].eval(z)
@@ -249,6 +255,8 @@ def _sample_points(case, n, seed):
 
 def fit_selectors(case="general", dps=70, n_samples=None, seed=1234, progress=None):
     """Fit the selector coefficient table in extended precision (one-time batch)."""
+    import mpmath
+
     basis = GENERAL_Y_MONOMIALS if case == "general" else SPECIAL_V_POWERS
     nb = len(basis)
     n = n_samples or (2 * nb + 40 if case == "general" else 42)
@@ -306,6 +314,8 @@ def fit_selectors(case="general", dps=70, n_samples=None, seed=1234, progress=No
 
 
 def _finalize_table(case, basis, coeffs, resid, zs):
+    import mpmath
+
     e10 = [tuple(int(v) for v in row) for row in exps(10)]
     widx = {e: i for i, e in enumerate(e10)}
     if case == "general":

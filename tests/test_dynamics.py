@@ -110,3 +110,63 @@ def test_solve_general_matches_oracle(reg, inv, rng, selector_general):
     assert r.converged and r.residual < 1e-6
     roots = oracle_roots_general(inv, z)
     assert np.min(np.abs(roots - r.root) / np.abs(roots)) < 1e-5
+
+
+@pytest.mark.parametrize("case,params", [("general", (0.9 + 0.1j, 1.1 - 0.3j)),
+                                         ("special", (0.45 + 0.65j,))])
+def test_solve_needs_no_polish(monkeypatch, case, params, selector_general, selector_special):
+    # the cycles over the 72-point orbit are superattracting: the map lands
+    # the trajectory on the locus by itself
+    import valentiner.dynamics as dyn
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polish_72point called from the solve path")
+
+    monkeypatch.setattr(dyn, "polish_72point", refuse)
+    table = selector_general if case == "general" else selector_special
+    r = solve_resolvent(params, case, IterationConfig(seed=3), table)
+    assert r.converged and r.residual < 1e-7
+
+
+@pytest.mark.parametrize("y1,y2,seed", [
+    # the certificate reads ~1e-14 all along while fs(w_k, w_{k-2}) stays
+    # at binary64 noise, 1e-8 to 1e-6: a gap gate would never accept
+    (0.929994124624867 + 1.5202986405274517j, -0.9415127034412399 + 1.979831669811811j, 1),
+    # four Newton steps stop 1.2e-8 short of the root, a fifth reaches 2.5e-15
+    (0.14882929485891647 - 0.9796683924274063j, -0.6031621496020959 - 0.4358194951197073j,
+     1095212768),
+])
+def test_reproducers_converge_to_true_roots(y1, y2, seed, selector_general):
+    from valentiner.resolvents import resolvent_ry
+
+    r = solve_resolvent((y1, y2), "general", IterationConfig(seed=seed), selector_general)
+    assert r.converged
+    roots = np.roots(np.concatenate([[1.0], resolvent_ry(y1, y2)]))
+    assert np.min(np.abs(roots - r.root)) < 1e-8 * abs(r.root)
+
+
+def test_solving_from_shipped_table_does_not_load_mpmath():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import valentiner
+
+    src = str(Path(list(valentiner.__path__)[0]).resolve().parent)
+    code = (
+        "import sys\n"
+        "import valentiner.cli, valentiner.dynamics, valentiner.resolvents, valentiner.selectors\n"
+        "from valentiner.dynamics import IterationConfig, solve_resolvent\n"
+        "from valentiner.selectors import load_or_fit_selectors\n"
+        "r = solve_resolvent((0.7 + 0.2j, 1.1 - 0.3j), 'general', IterationConfig(seed=0),\n"
+        "                    load_or_fit_selectors('general'))\n"
+        "assert r.converged\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("VALENTINER_CACHE", None)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, cwd=src, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

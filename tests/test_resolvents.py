@@ -173,6 +173,18 @@ def test_family_special_weight_value():
     assert abs(fam.weight * fam.table_scale / bal - w_expected) < 1e-9 * abs(w_expected)
 
 
+def test_component_cross_matches_numpy(rng):
+    # the same products and differences as np.cross, whose vectorized complex
+    # multiply rounds differently: agreement to a few ulps of |a| |b|
+    from valentiner.resolvents import _cross
+
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        a, b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        err = np.max(np.abs(_cross(a, b) - np.cross(a, b)))
+        assert err <= 4 * eps * np.linalg.norm(a) * np.linalg.norm(b)
+
+
 def test_degenerate_params():
     with pytest.raises(DegenerateParams):
         instantiate_family((0.0,), "special")
