@@ -14,6 +14,7 @@ from .context import CTX64
 from .errors import ClosureOverflow
 from .frames import frame_by_name
 from .hpoly import HPoly, inv3, monomial_index
+from .projective import first_unique
 
 PROJ_ORDER = 360
 LIFT_ORDER = 1080
@@ -58,26 +59,26 @@ def bub_antilinear_in_frame(frame, ctx=CTX64):
 
 # --- closure ------------------------------------------------------------------
 
-def _dedup_key_distance(mats, cand):
-    """Min Frobenius distance from cand to each matrix in the (n,3,3) stack."""
-    d = mats - cand[None, :, :]
+def _frobenius_distances(a, b):
+    """Row-wise Frobenius distances between two aligned (n, 3, 3) stacks."""
+    d = a - b
     return np.sqrt(np.einsum("nij,nij->n", d, np.conj(d)).real)
 
 
 def projective_canonical(m, rho):
-    """Scale by a cube root of unity so the argument of the largest entry is nearest 0."""
-    flat = np.abs(m).ravel()
-    t = int(np.argmax(flat))
-    entry = m.ravel()[t]
-    best, best_arg = m, abs(np.angle(entry))
+    """Scale each matrix of an (n, 3, 3) stack by the cube root of unity that
+    brings the argument of its largest entry nearest 0 (first wins within 1e-13)."""
+    flat = m.reshape(len(m), 9)
+    entry = flat[np.arange(len(m)), np.argmax(np.abs(flat), axis=1)]
+    out, best_arg = m.copy(), np.abs(np.angle(entry))
     w = rho
     for _ in range(2):
-        cand = m * w
-        a = abs(np.angle(entry * w))
-        if a < best_arg - 1e-13:
-            best, best_arg = cand, a
+        a = np.abs(np.angle(entry * w))
+        better = a < best_arg - 1e-13
+        out[better] = m[better] * w
+        best_arg = np.where(better, a, best_arg)
         w = w * rho
-    return best
+    return out
 
 
 class GroupTable:
@@ -98,11 +99,8 @@ class GroupTable:
         return len(self.projective)
 
     def order_census(self):
-        counts = {}
-        for m in self.projective:
-            k = _proj_order(m)
-            counts[k] = counts.get(k, 0) + 1
-        return counts
+        orders, counts = np.unique(proj_orders(self.projective), return_counts=True)
+        return dict(zip(orders.tolist(), counts.tolist()))
 
     def conjugate_to_frame(self, frame):
         m = np.asarray(frame.to_octahedral, dtype=complex)
@@ -112,64 +110,61 @@ class GroupTable:
         return GroupTable(lift, proj, self.words, frame.name)
 
 
-def _proj_order(m, tol=1e-7):
-    a = np.asarray(m, dtype=complex)
-    p = np.eye(3, dtype=complex)
+def proj_orders(mats, tol=1e-7):
+    """Projective order (1 to 5, else -1) of each matrix of an (n, 3, 3) stack."""
+    orders = np.full(len(mats), -1)
+    p = mats
     for k in range(1, 6):
-        p = p @ a
-        s = p.ravel()[np.argmax(np.abs(p))]
-        q = p / s
-        if np.max(np.abs(q - q[0, 0] * np.eye(3))) < tol:
-            return k
-    return -1
+        flat = p.reshape(len(p), 9)
+        q = p / flat[np.arange(len(p)), np.argmax(np.abs(flat), axis=1)][:, None, None]
+        scalar = np.max(np.abs(q - q[:, :1, :1] * np.eye(3)), axis=(1, 2)) < tol
+        orders[scalar & (orders < 0)] = k
+        p = p @ mats
+    return orders
+
+
+def closure(gens, max_elements):
+    """Breadth-first closure of the named generators: (elements, words).
+
+    Each level is the frontier times every generator, in (element, generator)
+    order, deduplicated by first_unique on the Frobenius distance.  Raises
+    ClosureOverflow past max_elements, which signals a precision failure.
+    """
+    names = list(gens)
+    g = np.array([np.asarray(gens[k], dtype=complex) for k in names])
+    elems = np.eye(3, dtype=complex)[None]
+    words = [""]
+    frontier = np.array([0])
+    while len(frontier):
+        cands = np.matmul(elems[frontier][:, None], g[None]).reshape(-1, 3, 3)
+        keep = first_unique(cands, elems, _frobenius_distances, up_to_phase=False)
+        cand_words = [words[f] + n for f in frontier.tolist() for n in names]
+        words += [w for w, k in zip(cand_words, keep.tolist()) if k]
+        frontier = np.arange(len(elems), len(elems) + np.count_nonzero(keep))
+        elems = np.concatenate([elems, cands[keep]])
+        if len(elems) > max_elements:
+            raise ClosureOverflow(f"more than {max_elements} elements")
+    return elems, words
 
 
 def enumerate_group(ctx=CTX64, frame_name="octahedral", max_elements=LIFT_ORDER):
-    """Breadth-first closure of the generators; returns a GroupTable.
+    """The closure of Z, T, P, Q, with projective representatives; a GroupTable.
 
-    Raises ClosureOverflow if more than max_elements distinct matrices
-    appear, which signals a deduplication/precision failure.
+    Dedup screens near pairs by blocked Gram products and confirms each by
+    its exact distance (first_unique): Frobenius for the lift, its minimum
+    over the cube-root multiples for the canonical projective forms.  Order
+    is first occurrence.  Raises ClosureOverflow past max_elements.
     """
     gens = generators_octahedral(ctx)
-    gen_list = [(k, np.asarray(gens[k], dtype=complex)) for k in ("Z", "T", "P", "Q")]
-    eye = np.eye(3, dtype=complex)
-    elems = [eye]
-    words = [""]
-    stack = np.array([eye])
-    frontier = [0]
-    tol = 1e-8
-    while frontier:
-        new_frontier = []
-        for idx in frontier:
-            base = elems[idx]
-            for name, g in gen_list:
-                cand = base @ g
-                dists = _dedup_key_distance(stack, cand)
-                if np.min(dists) > tol:
-                    elems.append(cand)
-                    words.append(words[idx] + name)
-                    stack = np.concatenate([stack, cand[None]], axis=0)
-                    new_frontier.append(len(elems) - 1)
-                    if len(elems) > max_elements:
-                        raise ClosureOverflow(f"more than {max_elements} lift elements")
-        frontier = new_frontier
-    lift = np.array(elems)
-    # projective representatives: canonical scaling, dedup
+    lift, words = closure({k: gens[k] for k in ("Z", "T", "P", "Q")}, max_elements)
     rho = complex(ctx.rho)
-    proj = []
-    pstack = None
-    for m in lift:
-        c = projective_canonical(m, rho)
-        if pstack is None:
-            proj.append(c)
-            pstack = np.array([c])
-            continue
-        # projective match: compare against all three unit-phase multiples
-        dd = np.array([np.min(_dedup_key_distance(pstack, c * rho ** k)) for k in range(3)])
-        if np.min(dd) > tol:
-            proj.append(c)
-            pstack = np.concatenate([pstack, c[None]], axis=0)
-    table = GroupTable(lift, np.array(proj), words)
+    canon = projective_canonical(lift, rho)
+
+    def projective_distance(c, kept):
+        return np.min([_frobenius_distances(kept, c * rho ** k) for k in range(3)], axis=0)
+
+    proj = canon[first_unique(canon, None, projective_distance)]
+    table = GroupTable(lift, proj, words)
     if frame_name != "octahedral":
         table = table.conjugate_to_frame(frame_by_name(frame_name, ctx))
     return table
@@ -240,12 +235,18 @@ def match_to_scaled_conic(conics, form, tol=1e-6):
 
 
 def conic_permutation(conics, mat, tol=1e-6):
-    """Permutation (and characters) of a conic system under x -> form(M^-1 x)."""
+    """Permutation (and characters) of a conic system under x -> form(M^-1 x).
+
+    Each conic is taken as its symmetric matrix S, form(x) = x^T S x, so the
+    images are M^-T S M^-1, one batched product for the whole system.
+    """
     minv = np.linalg.inv(np.asarray(mat, dtype=complex))
+    e = np.eye(3, dtype=int)
+    onehot = np.eye(6)[monomial_index(2, e[:, None] + e[None]).ravel()]   # entry (r, c) -> monomial
+    sym = (np.array([c.coeffs for c in conics]) @ onehot.T).reshape(-1, 3, 3) * np.where(e, 1, 0.5)
     perm, chars = [], []
-    for c in conics:
-        img = c.compose_linear(minv)
-        i, s = match_to_scaled_conic(conics, img, tol)
+    for img in (minv.T @ sym @ minv).reshape(-1, 9) @ onehot:
+        i, s = match_to_scaled_conic(conics, HPoly(2, img), tol)
         perm.append(i)
         chars.append(s)
     return perm, chars

@@ -192,7 +192,8 @@ class HPoly:
         Works over the nonzero monomials only, in the dtype the points and
         coefficients promote to (real points with real coefficients stay
         float64, clongdouble coefficients stay clongdouble), one block of
-        points at a time so the power and monomial tables stay bounded.
+        points at a time so the power and monomial tables stay bounded (one
+        allocation per call, reused by every block as contiguous slices).
         """
         pts = np.asarray(pts)
         nz = np.flatnonzero(self.coeffs)
@@ -202,13 +203,20 @@ class HPoly:
         dtype = np.result_type(pts.dtype, c.dtype, np.float64)
         out = np.empty(len(pts), dtype=dtype)
         step = max(1, _EVAL_BLOCK // max(len(nz), 3 * (d + 1)))
+        n = min(step, len(pts))
+        pw_buf, mono_buf = np.empty(3 * (d + 1) * n, dtype), np.empty((2, len(nz) * n), dtype)
         for lo in range(0, len(pts), step):
             x = np.asarray(pts[lo:lo + step].T, dtype=dtype, order="C")
-            pw = np.empty((3, d + 1, x.shape[1]), dtype=dtype)
+            k = x.shape[1]
+            pw = pw_buf[:3 * (d + 1) * k].reshape(3, d + 1, k)
             pw[:, 0] = 1
             for p in range(1, d + 1):
                 np.multiply(pw[:, p - 1], x, out=pw[:, p])
-            out[lo:lo + step] = c @ (pw[0, e[0]] * pw[1, e[1]] * pw[2, e[2]])
+            mono, fac = (b[:len(nz) * k].reshape(len(nz), k) for b in mono_buf)
+            np.take(pw[0], e[0], axis=0, out=mono, mode="clip")
+            for v in (1, 2):
+                np.multiply(mono, np.take(pw[v], e[v], axis=0, out=fac, mode="clip"), out=mono)
+            out[lo:lo + step] = c @ mono
         return out
 
     def compose_linear(self, m):

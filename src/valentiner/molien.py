@@ -13,7 +13,7 @@ import numpy as np
 
 from .context import CTX64
 from .errors import NonIntegerDimension, NotPolynomial
-from .group import enumerate_group, generators_octahedral
+from .group import closure, enumerate_group, generators_octahedral
 
 
 @dataclass
@@ -67,26 +67,7 @@ def group_elements(group_id, ctx=CTX64):
         return lift
     if group_id in ("icosa60", "icosa120"):
         gens = generators_octahedral(ctx)
-        from .errors import ClosureOverflow
-        from .group import _dedup_key_distance
-
-        elems = [np.eye(3, dtype=complex)]
-        stack = np.array(elems)
-        frontier = [0]
-        gen_list = [np.asarray(gens[k], dtype=complex) for k in ("Z", "T", "P")]
-        while frontier:
-            new = []
-            for i in frontier:
-                for g in gen_list:
-                    cand = elems[i] @ g
-                    if np.min(_dedup_key_distance(stack, cand)) > 1e-8:
-                        elems.append(cand)
-                        stack = np.concatenate([stack, cand[None]], axis=0)
-                        new.append(len(elems) - 1)
-                        if len(elems) > 60:
-                            raise ClosureOverflow("icosahedral closure exceeded 60")
-            frontier = new
-        out = np.array(elems)
+        out, _ = closure({k: gens[k] for k in ("Z", "T", "P")}, 60)
         if group_id == "icosa120":
             out = np.concatenate([out, -out], axis=0)
         return out

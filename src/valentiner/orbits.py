@@ -10,23 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrbitSizeMismatch
-from .group import _proj_order
-from .projective import fs_distance, normalize_point
+from .group import conic_permutation, proj_orders
+from .projective import first_unique, fs_distances, normalize_point
 
-_DEDUP_TOL = 1e-8
-
-
-def _add_unique(acc, p):
-    for q in acc:
-        if fs_distance(p, q) < _DEDUP_TOL:
-            return False
-    acc.append(p)
-    return True
-
-
-def _eigen_points(m):
-    w, v = np.linalg.eig(m)
-    return w, [normalize_point(v[:, i]) for i in range(3)]
+PAIRS15 = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
 
 
 @dataclass
@@ -46,94 +33,69 @@ class OrbitCatalog:
                                self.orbit60bar, self.orbit72, self.orbit90])
 
 
-def special_orbits(table, inv, tol=1e-7):
+def special_orbits(table, inv):
     """OrbitCatalog from the projective group table and the invariant system.
 
     table must be in the same frame as inv.  The 72/36 points are the
     eigenvectors of five-fold elements (off-conic pole = 36), the 45
-    points and lines come from involutions, 90 from four-fold elements,
-    and the sixty-point orbits from three-fold elements classified by
-    which conic system vanishes at them.
+    points and lines come from involutions, 90 from four-fold elements
+    (less the 45-points), and the sixty-point orbits from three-fold
+    elements classified by which conic system vanishes at them.  One
+    batched eig per element order; each orbit keeps the first occurrence of
+    every point, deduplicated by first_unique on fs_distances.
     """
-    f_scale = inv.F.supnorm()
-    phi_scale = inv.Phi.supnorm()
+    orders = proj_orders(table.projective)
+    mats = {k: table.projective[orders == k] for k in (2, 3, 4, 5)}
 
-    def f_small(p):
-        return abs(inv.F.eval(p)) < 1e-6 * f_scale
+    def points(k):
+        v = np.linalg.eig(mats[k])[1].transpose(0, 2, 1).reshape(-1, 3)
+        return np.array([normalize_point(p) for p in v])
 
-    orbit36, orbit45, orbit60, orbit60b, orbit72, orbit90 = [], [], [], [], [], []
+    def unique(pts, kept=None):
+        return pts[first_unique(pts, kept, fs_distances)]
+
+    # an involution has one simple eigenvalue (the fixed point) and one double (the line)
+    w, v = np.linalg.eig(mats[2])
+    simple = 2 - np.argmin(np.abs(w[:, [0, 0, 1]] - w[:, [1, 2, 2]]), axis=1)
+    pts = np.array([normalize_point(p) for p in v[np.arange(len(v)), :, simple]])
+    keep = first_unique(pts, None, fs_distances)
+    orbit45 = pts[keep]
     lines, inv_meta = [], []
-    barred = inv.conics_barred
-    unbarred = inv.conics_unbarred
-    from .group import conic_permutation
+    for m, vec, s in zip(mats[2][keep], v[keep], simple[keep].tolist()):
+        dbl = [i for i in range(3) if i != s]
+        lines.append(normalize_point(np.cross(vec[:, dbl[0]], vec[:, dbl[1]])))
+        pb, _ = conic_permutation(inv.conics_barred, m)
+        pu, _ = conic_permutation(inv.conics_unbarred, m)
+        inv_meta.append((tuple(i + 1 for i in range(6) if pb[i] == i),
+                         tuple(i + 1 for i in range(6) if pu[i] == i)))
 
-    by_order = {2: [], 3: [], 4: [], 5: []}
-    for m in table.projective:
-        k = _proj_order(m)
-        if k in by_order:
-            by_order[k].append(m)
+    pts = points(5)
+    on72 = ((np.abs(inv.F.eval_many(pts)) < 1e-6 * inv.F.supnorm())
+            & (np.abs(inv.Phi.eval_many(pts)) < 1e-6 * inv.Phi.supnorm()))
+    orbit72, orbit36 = unique(pts[on72]), unique(pts[~on72])
 
-    for m in by_order[2]:
-        w, v = np.linalg.eig(m)
-        # one simple eigenvalue (the fixed point), one double (the line)
-        d = [abs(w[0] - w[1]), abs(w[0] - w[2]), abs(w[1] - w[2])]
-        pair = int(np.argmin(d))
-        simple = {0: 2, 1: 1, 2: 0}[pair]
-        p = normalize_point(v[:, simple])
-        if _add_unique(orbit45, p):
-            dbl = [i for i in range(3) if i != simple]
-            ell = np.cross(v[:, dbl[0]], v[:, dbl[1]])
-            lines.append(normalize_point(ell))
-            pb, _ = conic_permutation(barred, m)
-            pu, _ = conic_permutation(unbarred, m)
-            fixed_b = tuple(sorted(i + 1 for i in range(6) if pb[i] == i))
-            fixed_u = tuple(sorted(i + 1 for i in range(6) if pu[i] == i))
-            inv_meta.append((fixed_b, fixed_u))
+    orbit90 = unique(points(4), orbit45)
 
-    for m in by_order[5]:
-        w, pts = _eigen_points(m)
-        for p in pts:
-            if f_small(p) and abs(inv.Phi.eval(p)) < 1e-6 * phi_scale:
-                _add_unique(orbit72, p)
-            else:
-                _add_unique(orbit36, p)
-
-    for m in by_order[4]:
-        w, pts = _eigen_points(m)
-        for p in pts:
-            if all(fs_distance(p, q) > _DEDUP_TOL for q in orbit45):
-                _add_unique(orbit90, p)
-
-    for m in by_order[3]:
-        w, pts = _eigen_points(m)
-        for p in pts:
-            on_b = min(abs(c.eval(p)) for c in barred)
-            on_u = min(abs(c.eval(p)) for c in unbarred)
-            if on_b < 1e-6 and on_u > 1e-4:
-                _add_unique(orbit60b, p)
-            elif on_u < 1e-6 and on_b > 1e-4:
-                _add_unique(orbit60, p)
-            else:
-                raise OrbitSizeMismatch("three-fold fixed point on neither/both conic systems")
+    pts = points(3)
+    on_b = np.min([np.abs(c.eval_many(pts)) for c in inv.conics_barred], axis=0)
+    on_u = np.min([np.abs(c.eval_many(pts)) for c in inv.conics_unbarred], axis=0)
+    on_barred = (on_b < 1e-6) & (on_u > 1e-4)
+    on_unbarred = (on_u < 1e-6) & (on_b > 1e-4)
+    if not np.all(on_barred | on_unbarred):
+        raise OrbitSizeMismatch("three-fold fixed point on neither/both conic systems")
+    orbit60b, orbit60 = unique(pts[on_barred]), unique(pts[on_unbarred])
 
     sizes = (len(orbit36), len(orbit45), len(orbit60), len(orbit60b), len(orbit72), len(orbit90))
     if sizes != (36, 45, 60, 60, 72, 90):
         raise OrbitSizeMismatch(f"orbit sizes {sizes}")
 
     arr = np.zeros((15, 15), dtype=bool)
-    pairs = [tuple(sorted((a, b))) for a in range(1, 7) for b in range(a + 1, 7)]
     for (fb, fu) in inv_meta:
-        arr[pairs.index(fb), pairs.index(fu)] = True
+        arr[PAIRS15.index(fb), PAIRS15.index(fu)] = True
     if not (np.all(arr.sum(axis=0) == 3) and np.all(arr.sum(axis=1) == 3)):
         raise OrbitSizeMismatch("45-array rows/columns do not have three marks each")
-    return OrbitCatalog(
-        np.array(orbit36), np.array(orbit45), np.array(orbit60),
-        np.array(orbit60b), np.array(orbit72), np.array(orbit90),
-        np.array(lines), inv_meta, arr,
-    )
-
-
-PAIRS15 = [tuple(sorted((a, b))) for a in range(1, 7) for b in range(a + 1, 7)]
+    return OrbitCatalog(orbit36, orbit45, orbit60, orbit60b, orbit72, orbit90,
+                        np.array(lines), inv_meta, arr)
 
 
 def lines_through_45point(catalog, barred_pair, unbarred_pair):

@@ -551,6 +551,7 @@ def frame_determinant_checks(seed=0, n=50):
 def curve_point(rng, inv=None, reg=None, seed_point=None):
     """A random point on {F = 0}, polished along a pencil through a 72-point."""
     inv = inv or registry().inv
+    grad = inv.F.grad()
     p72 = np.array([1.0, 0, 0]) if seed_point is None else seed_point
     for _ in range(64):
         q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -564,13 +565,14 @@ def curve_point(rng, inv=None, reg=None, seed_point=None):
             continue
         t = roots[np.argmin(np.abs(roots - 1.0))]
         z = p72 + t * q
-        # Newton polish on t
+        # Newton polish on t, while the step shrinks (at most 60 steps)
+        last = np.inf
         for _ in range(60):
-            fv = inv.F.eval(z)
-            dv = sum(inv.F.diff(k).eval(z) * q[k] for k in range(3))
-            if abs(dv) < 1e-14:
+            dv = sum(grad[k].eval(z) * q[k] for k in range(3))
+            step = inv.F.eval(z) / dv if abs(dv) >= 1e-14 else np.inf
+            if abs(step) >= last:
                 break
-            t = t - fv / dv
+            t, last = t - step, abs(step)
             z = p72 + t * q
         z = z / np.linalg.norm(z)
         if abs(inv.F.eval(z)) < 1e-12 * inv.F.supnorm():

@@ -39,6 +39,38 @@ def test_eval_many_dtype_contract(rng, degree):
         check(f6_general(0.7 + 0.2j, 1.1 - 0.3j), zc, np.clongdouble)
 
 
+def _eval_many_fresh_tables(p, pts):
+    """eval_many with new power and monomial tables for every block."""
+    from valentiner.hpoly import _EVAL_BLOCK
+
+    nz = np.flatnonzero(p.coeffs)
+    c, e, d = p.coeffs[nz], exps(p.degree)[nz].T, p.degree
+    dtype = np.result_type(pts.dtype, c.dtype, np.float64)
+    step = max(1, _EVAL_BLOCK // max(len(nz), 3 * (d + 1)))
+    out = []
+    for lo in range(0, len(pts), step):
+        x = np.asarray(pts[lo:lo + step].T, dtype=dtype, order="C")
+        pw = np.empty((3, d + 1, x.shape[1]), dtype=dtype)
+        pw[:, 0] = 1
+        for k in range(1, d + 1):
+            np.multiply(pw[:, k - 1], x, out=pw[:, k])
+        out.append(c @ (pw[0, e[0]] * pw[1, e[1]] * pw[2, e[2]]))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("n", [1, 59, 60, 61, 187])
+def test_eval_many_reused_tables_are_bitwise_fresh(rng, n):
+    """Reusing one set of tables for every block, the last one partial, changes no bit."""
+    from valentiner.resolvents import f6_general
+
+    zc = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    for p, pts in [(_random_poly(rng, 45), zc), (_random_poly(rng, 19), zc),
+                   (HPoly(45, rng.standard_normal(n_monomials(45))), zc.real),
+                   (f6_general(0.7 + 0.2j, 1.1 - 0.3j), zc)]:
+        got, want = p.eval_many(pts), _eval_many_fresh_tables(p, pts)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_compose_identity_and_roundtrip(rng):
     p = _random_poly(rng, 5)
     eye = np.eye(3)
