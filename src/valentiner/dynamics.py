@@ -18,10 +18,18 @@ import numpy as np
 
 from .errors import AllRestartsFailed, NotAConvergedCycle
 from .projective import fs_distance, normalize_point
-from .resolvents import eval_monic
+from .resolvents import _invariant_chain, eval_monic
 
 
 NEWTON_MAX_STEPS = 16
+# map steps per restart, the certificate bound on |F|/sup|F| and |Phi|/sup|Phi|
+# (also the solve's residual gate), and restarts per solve
+MAX_ITERATIONS = 500
+CERTIFICATE_TOLERANCE = 1e-7
+RESTARTS = 8
+# Newton steps and the |F|, |Phi| (over their sup norms) at which polish_72point stops
+POLISH_STEPS = 40
+POLISH_TOL = 1e-13
 
 
 def _newton_root(coeffs, u):
@@ -54,10 +62,7 @@ def _newton_root(coeffs, u):
 
 @dataclass
 class IterationConfig:
-    max_iterations: int = 500
     cycle_tolerance: float = 1e-9
-    certificate_tolerance: float = 1e-7
-    restarts: int = 8
     seed: int = 0
 
 
@@ -98,7 +103,7 @@ def iterate_to_cycle(emap, w0, cfg=IterationConfig()):
     """
     w = normalize_point(np.asarray(w0, dtype=complex))
     prev = [w]
-    for k in range(cfg.max_iterations):
+    for k in range(MAX_ITERATIONS):
         w = emap(prev[-1])
         nrm = np.linalg.norm(w)
         if not np.isfinite(nrm) or nrm == 0:
@@ -107,15 +112,15 @@ def iterate_to_cycle(emap, w0, cfg=IterationConfig()):
         prev.append(w)
         if len(prev) >= 3 and fs_distance(prev[-1], prev[-3]) < cfg.cycle_tolerance:
             return (normalize_point(prev[-3]), normalize_point(prev[-2])), k + 1
-    return None, cfg.max_iterations
+    return None, MAX_ITERATIONS
 
 
-def polish_72point(fam, w, steps=40, tol=1e-13):
+def polish_72point(fam, w):
     """Newton-polish w onto {F = 0} cap {Phi = 0} of a family system.
 
     Works in an affine chart centered at w: two complex unknowns against
-    the two certificate equations, using the (well-conditioned) low end of
-    the family tower.
+    the two certificate equations, with F, Phi and their gradients read
+    off the family map's jet tables (sup|F| is 1).
     """
     w = normalize_point(np.asarray(w, dtype=complex))
     # chart directions orthogonal to w
@@ -131,17 +136,12 @@ def polish_72point(fam, w, steps=40, tol=1e-13):
         raise NotAConvergedCycle("degenerate chart at candidate cycle point")
     u, v = basis
     ab = np.zeros(2, dtype=complex)
-    fsup = fam.F.supnorm()
-    psup = fam.Phi.supnorm()
-    grad_f, grad_phi = fam.F.grad(), fam.Phi.grad()
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         p = w + ab[0] * u + ab[1] * v
-        fv = fam.F.eval(p) / fsup
-        pv = fam.Phi.eval(p) / psup
-        if abs(fv) < tol and abs(pv) < tol:
+        fv, gf, pv, gp = _invariant_chain(fam.h.jets, p)[:4]
+        pv, gp = pv / fam.phi_sup, gp / fam.phi_sup
+        if abs(fv) < POLISH_TOL and abs(pv) < POLISH_TOL:
             break
-        gf = np.array([c.eval(p) for c in grad_f]) / fsup
-        gp = np.array([c.eval(p) for c in grad_phi]) / psup
         jac = np.array([[gf @ u, gf @ v], [gp @ u, gp @ v]])
         try:
             delta = np.linalg.solve(jac, np.array([fv, pv]))
@@ -164,7 +164,7 @@ def certified_cycle(fam, w0, cfg):
     certified pair closer than 1e-8), at a cycle settled off the locus
     (fs(w_k, w_{k-2}) < cycle_tolerance without a certified pair), at a
     non-finite image (the family map's denominator X vanishes on the 45
-    mirror lines) or after max_iterations steps.
+    mirror lines) or after MAX_ITERATIONS steps.
 
     Returns (pair, iterations, True) or (None, iterations, False).
     """
@@ -172,7 +172,7 @@ def certified_cycle(fam, w0, cfg):
     prev = [w]
     cert_prev = np.inf
     k = 0
-    for k in range(cfg.max_iterations):
+    for k in range(MAX_ITERATIONS):
         w = fam.h(prev[-1])
         nrm = np.linalg.norm(w)
         if not np.isfinite(nrm) or nrm == 0:
@@ -180,7 +180,7 @@ def certified_cycle(fam, w0, cfg):
         w = w / nrm
         prev = prev[-2:] + [w]
         cert = max(fam.certificate(w))
-        if max(cert, cert_prev) < cfg.certificate_tolerance:
+        if max(cert, cert_prev) < CERTIFICATE_TOLERANCE:
             if fs_distance(prev[-2], w) < 1e-8:
                 break  # a fixed point, not a two-cycle
             return (normalize_point(prev[-2]), normalize_point(w)), k + 1, True
@@ -195,7 +195,7 @@ def solve_resolvent(params, case="general", cfg=None, selector_table=None):
 
     Deterministic for a fixed config seed.  The returned root annihilates
     the published sextic for the given parameters within
-    cfg.certificate_tolerance (relative to the coefficient scale).
+    CERTIFICATE_TOLERANCE (relative to the coefficient scale).
     """
     from .resolvents import instantiate_family, resolvent_ry, resolvent_tv
     from .selectors import load_or_fit_selectors
@@ -207,21 +207,21 @@ def solve_resolvent(params, case="general", cfg=None, selector_table=None):
     coeffs = resolvent_ry(*params) if case == "general" else resolvent_tv(params[0])
     cscale = float(np.max(np.abs(coeffs)))
     best = None
-    for attempt in range(cfg.restarts):
+    for attempt in range(RESTARTS):
         w0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         pair, iters, _ = certified_cycle(fam, w0, cfg)
         if pair is None:
             continue
         result, gate = _rooted_result(table, fam, pair, coeffs, cscale, case, params,
                                       iters, attempt + 1)
-        if result.residual < cfg.certificate_tolerance and gate < 1e-6:
+        if result.residual < CERTIFICATE_TOLERANCE and gate < 1e-6:
             return result
         if best is None or result.residual < best.residual:
             best = result
     if best is not None:
         best.converged = False
         return best
-    raise AllRestartsFailed(f"no certified cycle in {cfg.restarts} restarts")
+    raise AllRestartsFailed(f"no certified cycle in {RESTARTS} restarts")
 
 
 def _rooted_result(table, fam, pair, coeffs, cscale, case, params, iters, attempt):

@@ -183,12 +183,15 @@ def _conic_condition_rows(g_comps, f_x, phi_x, a_coef, svals):
     return rows
 
 
-def _solve2_q15(rows):
-    """Solve an exactly-consistent 2-unknown linear system over Q(sqrt(-15)).
+def _solve2(rows):
+    """Exact solution (u, v) of rows a u + b v = c, or None if there is none.
 
-    The per-conic conditions have rank one per conic system (the degree-12
-    invariant restricts to the square of the degree-6 one on a conic), so an
-    independent pair is searched for rather than assumed.
+    Solves from the first independent pair of rows, then checks every row;
+    None when no pair is independent or a row fails.  Runs over any exact
+    field (Fraction, Q15).  The per-conic conditions have rank one per conic
+    system (the degree-12 invariant restricts to the square of the degree-6
+    one on a conic), so an independent pair is searched for rather than
+    assumed.
     """
     for i, j in itertools.combinations(range(len(rows)), 2):
         a1, b1, c1 = rows[i]
@@ -197,11 +200,8 @@ def _solve2_q15(rows):
         if det:
             u = (c1 * b2 - c2 * b1) / det
             v = (a1 * c2 - a2 * c1) / det
-            for a, b, c in rows:
-                if not (a * u + b * v == c):
-                    raise VanishingFailure("conic-preservation conditions are inconsistent")
-            return u, v
-    raise VanishingFailure("conic-preservation conditions are rank deficient")
+            return (u, v) if all(a * u + b * v == c for a, b, c in rows) else None
+    return None
 
 
 def build_h19_exact():
@@ -229,7 +229,10 @@ def build_h19_exact():
     a_b = Q15(Fraction(-1, 6), Fraction(-1, 6))
     rows = _conic_condition_rows(gstar, f_x, phi_x, a_b, (1, 2, 3))
     rows += _conic_condition_rows(gstar, f_x, phi_x, a_b.conj(), (1, 2, 3))
-    u, v = _solve2_q15(rows)
+    sol = _solve2(rows)
+    if sol is None:
+        raise VanishingFailure("conic-preservation conditions are inconsistent or rank deficient")
+    u, v = sol
     # h = gstar + (u F^3 + v F Phi) id, coefficients should be rational
     h = [gstar[i] + t1[i].scale(u) + t2[i].scale(v) for i in range(3)]
     if any(c.b for comp in h for c in comp.coeffs):
@@ -435,13 +438,4 @@ def _in_trivial_span(g, t1, t2):
     """Exact check whether g is a rational combination of t1, t2."""
     rows = [tuple(Fraction(v) for v in r)
             for i in range(3) for r in zip(t1[i].coeffs, t2[i].coeffs, g[i].coeffs) if any(r)]
-    # solve for (p, q) from the first independent pair, then verify
-    for r1, r2 in itertools.combinations(range(len(rows)), 2):
-        a1, b1, c1 = rows[r1]
-        a2, b2, c2 = rows[r2]
-        det = a1 * b2 - a2 * b1
-        if det != 0:
-            p = (c1 * b2 - c2 * b1) / det
-            q = (a1 * c2 - a2 * c1) / det
-            return all(a * p + b * q == c for a, b, c in rows)
-    return False
+    return _solve2(rows) is not None

@@ -12,7 +12,6 @@ import numpy as np
 
 from .context import CTX64
 from .errors import ClosureOverflow
-from .frames import frame_by_name
 from .hpoly import HPoly, inv3, monomial_index
 from .projective import first_unique
 
@@ -110,14 +109,14 @@ class GroupTable:
         return GroupTable(lift, proj, self.words, frame.name)
 
 
-def proj_orders(mats, tol=1e-7):
+def proj_orders(mats):
     """Projective order (1 to 5, else -1) of each matrix of an (n, 3, 3) stack."""
     orders = np.full(len(mats), -1)
     p = mats
     for k in range(1, 6):
         flat = p.reshape(len(p), 9)
         q = p / flat[np.arange(len(p)), np.argmax(np.abs(flat), axis=1)][:, None, None]
-        scalar = np.max(np.abs(q - q[:, :1, :1] * np.eye(3)), axis=(1, 2)) < tol
+        scalar = np.max(np.abs(q - q[:, :1, :1] * np.eye(3)), axis=(1, 2)) < 1e-7
         orders[scalar & (orders < 0)] = k
         p = p @ mats
     return orders
@@ -147,16 +146,16 @@ def closure(gens, max_elements):
     return elems, words
 
 
-def enumerate_group(ctx=CTX64, frame_name="octahedral", max_elements=LIFT_ORDER):
+def enumerate_group(ctx=CTX64):
     """The closure of Z, T, P, Q, with projective representatives; a GroupTable.
 
     Dedup screens near pairs by blocked Gram products and confirms each by
     its exact distance (first_unique): Frobenius for the lift, its minimum
     over the cube-root multiples for the canonical projective forms.  Order
-    is first occurrence.  Raises ClosureOverflow past max_elements.
+    is first occurrence.  Raises ClosureOverflow past LIFT_ORDER elements.
     """
     gens = generators_octahedral(ctx)
-    lift, words = closure({k: gens[k] for k in ("Z", "T", "P", "Q")}, max_elements)
+    lift, words = closure({k: gens[k] for k in ("Z", "T", "P", "Q")}, LIFT_ORDER)
     rho = complex(ctx.rho)
     canon = projective_canonical(lift, rho)
 
@@ -164,10 +163,7 @@ def enumerate_group(ctx=CTX64, frame_name="octahedral", max_elements=LIFT_ORDER)
         return np.min([_frobenius_distances(kept, c * rho ** k) for k in range(3)], axis=0)
 
     proj = canon[first_unique(canon, None, projective_distance)]
-    table = GroupTable(lift, proj, words)
-    if frame_name != "octahedral":
-        table = table.conjugate_to_frame(frame_by_name(frame_name, ctx))
-    return table
+    return GroupTable(lift, proj, words)
 
 
 # --- conic forms ----------------------------------------------------------------
@@ -222,19 +218,19 @@ def transport_conics(barred, unbarred, frame, normalize_bub=False):
     return tb, tu
 
 
-def match_to_scaled_conic(conics, form, tol=1e-6):
+def match_to_scaled_conic(conics, form):
     """Index and scalar with form == scalar * conics[index], else (None, None)."""
     for i, c in enumerate(conics):
         t = int(np.argmax(np.abs(c.coeffs)))
         if abs(c.coeffs[t]) == 0:
             continue
         s = form.coeffs[t] / c.coeffs[t]
-        if np.max(np.abs(form.coeffs - s * c.coeffs)) < tol * max(1.0, abs(s) * float(np.max(np.abs(c.coeffs)))):
+        if np.max(np.abs(form.coeffs - s * c.coeffs)) < 1e-6 * max(1.0, abs(s) * float(np.max(np.abs(c.coeffs)))):
             return i, s
     return None, None
 
 
-def conic_permutation(conics, mat, tol=1e-6):
+def conic_permutation(conics, mat):
     """Permutation (and characters) of a conic system under x -> form(M^-1 x).
 
     Each conic is taken as its symmetric matrix S, form(x) = x^T S x, so the
@@ -246,7 +242,7 @@ def conic_permutation(conics, mat, tol=1e-6):
     sym = (np.array([c.coeffs for c in conics]) @ onehot.T).reshape(-1, 3, 3) * np.where(e, 1, 0.5)
     perm, chars = [], []
     for img in (minv.T @ sym @ minv).reshape(-1, 9) @ onehot:
-        i, s = match_to_scaled_conic(conics, HPoly(2, img), tol)
+        i, s = match_to_scaled_conic(conics, HPoly(2, img))
         perm.append(i)
         chars.append(s)
     return perm, chars

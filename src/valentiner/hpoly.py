@@ -99,13 +99,13 @@ class HPoly:
             return 0.0
         return max(abs(c) for c in self.coeffs) if self.is_object else float(np.max(np.abs(self.coeffs)))
 
-    def cleanup(self, drop_tol=1e-12):
-        """Zero out coefficients below drop_tol times the sup norm (in place)."""
-        if self.is_object or drop_tol <= 0:
+    def cleanup(self):
+        """Zero out coefficients below 1e-12 times the sup norm (in place)."""
+        if self.is_object:
             return self
         s = self.supnorm()
         if s > 0:
-            self.coeffs[np.abs(self.coeffs) < drop_tol * s] = 0.0
+            self.coeffs[np.abs(self.coeffs) < 1e-12 * s] = 0.0
         return self
 
     # arithmetic

@@ -94,9 +94,6 @@ class InvariantSystem:
     G48: HPoly
     conics_barred: list
     conics_unbarred: list
-    alpha_phi: float = float(ALPHA_PHI)
-    alpha_psi: float = float(ALPHA_PSI)
-    alpha_x: float = float(ALPHA_X)
 
 
 def _g48_from(f, phi):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import CTX64
 from .errors import NonIntegerDimension, NotPolynomial
 from .group import closure, enumerate_group, generators_octahedral
 
@@ -58,15 +57,15 @@ def _inv_series_coeffs(minv, nmax):
     return a
 
 
-def group_elements(group_id, ctx=CTX64):
+def group_elements(group_id):
     """Unit-determinant model matrices for the supported groups."""
     if group_id in ("v3x360", "v6x360"):
-        lift = enumerate_group(ctx).lift
+        lift = enumerate_group().lift
         if group_id == "v6x360":
             lift = np.concatenate([lift, -lift], axis=0)
         return lift
     if group_id in ("icosa60", "icosa120"):
-        gens = generators_octahedral(ctx)
+        gens = generators_octahedral()
         out, _ = closure({k: gens[k] for k in ("Z", "T", "P")}, 60)
         if group_id == "icosa120":
             out = np.concatenate([out, -out], axis=0)
@@ -74,25 +73,14 @@ def group_elements(group_id, ctx=CTX64):
     raise ValueError(f"unknown group {group_id}")
 
 
-def molien_series(group_id, max_degree=48, ctx=CTX64, tol=1e-6):
+def molien_series(group_id, max_degree=48):
     """Dimension of degree-m invariants for m = 0..max_degree."""
-    elems = group_elements(group_id, ctx)
-    acc = np.zeros(max_degree + 1, dtype=complex)
-    for t in elems:
-        acc += _inv_series_coeffs(np.linalg.inv(t), max_degree)
-    acc /= len(elems)
-    dims = []
-    for m, v in enumerate(acc):
-        r = round(v.real)
-        if abs(v - r) > tol:
-            raise NonIntegerDimension(f"degree {m}: {v}")
-        dims.append(int(r))
-    return dims
+    return exterior_molien(group_id, max_degree).invariant_dims
 
 
-def exterior_molien(group_id, max_degree=48, ctx=CTX64, tol=1e-6):
+def exterior_molien(group_id, max_degree=48):
     """MolienTable with exterior dims [p][m] and the 0-form row as invariant_dims."""
-    elems = group_elements(group_id, ctx)
+    elems = group_elements(group_id)
     acc = np.zeros((4, max_degree + 1), dtype=complex)
     for t in elems:
         minv = np.linalg.inv(t)
@@ -108,7 +96,7 @@ def exterior_molien(group_id, max_degree=48, ctx=CTX64, tol=1e-6):
         row = []
         for m in range(max_degree + 1):
             r = round(acc[p, m].real)
-            if abs(acc[p, m] - r) > tol:
+            if abs(acc[p, m] - r) > 1e-6:
                 raise NonIntegerDimension(f"p={p} degree {m}: {acc[p, m]}")
             row.append(int(r))
         dims.append(row)
@@ -135,13 +123,13 @@ def molien_quotient(sub_table, denominator_degrees):
     return out
 
 
-def quotient_degree_lists(group="valentiner", max_degree=48, ctx=CTX64):
+def quotient_degree_lists(group="valentiner", max_degree=48):
     """Degrees with nonzero quotient coefficient, per form rank 0..3."""
     if group == "valentiner":
-        table = exterior_molien("v3x360", max_degree, ctx)
+        table = exterior_molien("v3x360", max_degree)
         dens = (6, 12, 30)
     elif group == "icosahedral":
-        table = exterior_molien("icosa60", max_degree, ctx)
+        table = exterior_molien("icosa60", max_degree)
         dens = (2, 6, 10)
     else:
         raise ValueError(group)

@@ -27,11 +27,10 @@ from importlib import resources
 
 import numpy as np
 
-from .context import CTX64
 from .equivariants import registry
 from .errors import (DegenerateDenominator, DegenerateFrame, DegenerateParams,
                      NotOnSexticCurve, OnSexticCurve)
-from .hpoly import HPoly, adj3, exps, hessian_det, monomial_index
+from .hpoly import HPoly, adj3, det3, exps, monomial_index
 
 SQ15 = np.sqrt(15.0)
 
@@ -108,21 +107,21 @@ def sigma_det_sq_value(v):
 # --- quotient parameters --------------------------------------------------------
 
 
-def quotient_y(inv, z, guard=1e-9):
+def quotient_y(inv, z):
     f = inv.F.eval(z)
     scale = np.linalg.norm(np.asarray(z)) ** 6 * inv.F.supnorm()
-    if abs(f) < guard * max(scale, 1e-30):
+    if abs(f) < 1e-9 * max(scale, 1e-30):
         raise OnSexticCurve("Y is undefined on {F = 0}")
     return inv.Phi.eval(z) / f ** 2, inv.Psi.eval(z) / (4 * f ** 5)
 
 
-def quotient_v(inv, z, guard=1e-9):
+def quotient_v(inv, z):
     f = inv.F.eval(z)
     scale = np.linalg.norm(np.asarray(z)) ** 6 * inv.F.supnorm()
     if abs(f) > 1e-6 * max(scale, 1e-30):
         raise NotOnSexticCurve(f"|F(z)| = {abs(f):.2e} too large for the special case")
     psi = inv.Psi.eval(z)
-    if abs(psi) < guard:
+    if abs(psi) < 1e-9:
         raise DegenerateDenominator("Psi vanishes (90-point)")
     return (8.0 / 3.0) * inv.Phi.eval(z) ** 5 / psi ** 2
 
@@ -292,6 +291,12 @@ def _jet_tables(f6):
     return tables
 
 
+def _jet(tables, w, k):
+    """The order-k derivatives of the form at w, as a (3,) * k array."""
+    mon = np.prod(w[None, :] ** exps(6 - k), axis=1)
+    return (tables[k] @ mon).reshape((3,) * k)
+
+
 def _invariant_chain(tables, w):
     """(F, grad F, Phi, grad Phi, Psi, grad Psi) of a degree-6 form at w.
 
@@ -310,11 +315,7 @@ def _invariant_chain(tables, w):
     clongdouble).
     """
     dt = w.dtype.type
-    jets = []
-    for k, tab in enumerate(tables):
-        mon = np.prod(w[None, :] ** exps(6 - k), axis=1)
-        jets.append((tab @ mon).reshape((3,) * k))
-    f, gf, h, t, q = jets
+    f, gf, h, t, q = (_jet(tables, w, k) for k in range(5))
     a_phi = dt(-1 / 20250.0)
     a_psi = dt(1 / 24300.0)
     adj = adj3(h)
@@ -396,19 +397,18 @@ class FamilyMap:
 class FamilySystem:
     case: str                 # "general" | "special"
     params: tuple             # (y1, y2) or (v,)
-    F: HPoly                  # the degree-6 form in internal coordinates
-    Phi: HPoly                # its degree-12 Hessian invariant
-    h: FamilyMap
+    F: HPoly                  # the degree-6 form in internal coordinates, sup norm 1
+    h: FamilyMap              # its jets are the only tables evaluated at a point
     weight: complex           # |frame|^2 / (scale factor): the pullback weight
     balance: np.ndarray       # diagonal change from internal to table coordinates
     table_scale: float        # sup normalization applied after rebalancing
-    table_jets: list          # derivative tables of the raw degree-6 table form
+    phi_sup: float            # sup norm of Phi = -det(H)/20250 of F
 
-    def certificate(self, w, rel=1e-7):
-        """(|F(w)|, |Phi(w)|) scaled for 72-point certification."""
+    def certificate(self, w):
+        """(|F(w)|, |Phi(w)|) at unit w, each over its sup norm (that of F is 1)."""
         w = np.asarray(w, dtype=complex) / np.linalg.norm(w)
-        return (abs(self.F.eval(w)) / self.F.supnorm(),
-                abs(self.Phi.eval(w)) / self.Phi.supnorm())
+        return (abs(_jet(self.h.jets, w, 0)),
+                abs(det3(_jet(self.h.jets, w, 2))) / (20250.0 * self.phi_sup))
 
     def to_table_coords(self, w):
         """Map an internal (balanced) point to the cached tables' coordinates."""
@@ -420,12 +420,20 @@ class FamilySystem:
     def psi_table_value(self, w_table):
         """Degree-30 invariant of the raw table form at a table-coordinate point.
 
+        The internal form is F(x) = f6(D x) / s with D = diag(balance) and
+        s = table_scale, and Psi is of degree 8 in the coefficients and
+        covariant of weight 6 under x -> D x, so
+
+            Psi_f6(D p) = s^8 det(D)^-6 Psi_F(p).
+
         Evaluated in extended precision through the same pointwise chain as
         the map, which survives the very skewed table coordinates at cycle
         points.
         """
-        w = np.asarray(w_table).astype(np.clongdouble)
-        return complex(_invariant_chain(self.table_jets, w)[4])
+        bal = self.balance.astype(np.clongdouble)
+        p = np.asarray(w_table).astype(np.clongdouble) / bal
+        cov = np.clongdouble(self.table_scale) ** 8 / np.prod(bal) ** 6
+        return complex(_invariant_chain(self.h.jets, p)[4] * cov)
 
 
 def instantiate_family(params, case="general"):
@@ -464,9 +472,11 @@ def instantiate_family(params, case="general"):
         raise DegenerateParams("vanishing degree-6 form")
     f6b = HPoly(6, (f6b.coeffs / scale).astype(complex))
     weight = complex(weight / scale)
-    phi = hessian_det(f6b).scale(-1 / 20250.0)
-    return FamilySystem(case, tuple(params), f6b, phi, FamilyMap(f6b, weight), weight,
-                        bal, float(scale), _jet_tables(f6))
+    h = FamilyMap(f6b, weight)
+    # sup|Phi| from the Hessian det of the map's own second-derivative rows
+    hess = [[HPoly(4, row) for row in rows] for rows in h.jets[2].reshape(3, 3, -1)]
+    return FamilySystem(case, tuple(params), f6b, h, weight, bal, float(scale),
+                        det3(hess).supnorm() / 20250.0)
 
 
 # --- cross-validation helpers (defining quotients vs cached tables) -------------
@@ -548,11 +558,11 @@ def frame_determinant_checks(seed=0, n=50):
     return items
 
 
-def curve_point(rng, inv=None, reg=None, seed_point=None):
-    """A random point on {F = 0}, polished along a pencil through a 72-point."""
+def curve_point(rng, inv=None, reg=None):
+    """A random point on {F = 0}, polished along a pencil through the 72-point e1."""
     inv = inv or registry().inv
     grad = inv.F.grad()
-    p72 = np.array([1.0, 0, 0]) if seed_point is None else seed_point
+    p72 = np.array([1.0, 0, 0])
     for _ in range(64):
         q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         # F restricted to the pencil p + t q is degree 6 in t with root t = 0

@@ -37,15 +37,34 @@ class RP2Chart:
         return c[1:] / c[0]
 
 
-def _real_representative(p, tol=1e-8):
+def _real_representative(p):
     """Real unit vector for a projective point with a real representative."""
     p = np.asarray(p, dtype=complex)
     k = int(np.argmax(np.abs(p)))
     q = p / p[k]
-    if np.max(np.abs(q.imag)) > tol:
+    if np.max(np.abs(q.imag)) > 1e-8:
         return None
     r = q.real
     return r / np.linalg.norm(r)
+
+
+def _pair_labels(reg, pts):
+    """Period-2 pair labels of 72-points under the canonical map, in order of
+    first appearance; every point must pair with another one of pts."""
+    labels = -np.ones(len(pts), dtype=int)
+    lab = 0
+    for i in range(len(pts)):
+        if labels[i] >= 0:
+            continue
+        img = reg.h19(pts[i])
+        for j in range(len(pts)):
+            if j != i and fs_distance(img, pts[j]) < 1e-6:
+                labels[i] = labels[j] = lab
+                lab += 1
+                break
+    if 2 * lab != len(pts):
+        raise ChartSingularity(f"expected {len(pts) // 2} period-2 pairs, found {lab}")
+    return labels
 
 
 def rp2_chart(reg, catalog):
@@ -126,21 +145,7 @@ def rp2_chart(reg, catalog):
     rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
     b3[:, 1:] = b3[:, 1:] @ rot
     pts = pts @ rot
-    # period-2 pair labels via the canonical map
-    labels = -np.ones(10, dtype=int)
-    lab = 0
-    for i in range(10):
-        if labels[i] >= 0:
-            continue
-        img = reg.h19(reals[i])
-        for j in range(10):
-            if j != i and fs_distance(img, reals[j]) < 1e-6:
-                labels[i] = labels[j] = lab
-                lab += 1
-                break
-    if lab != 5:
-        raise ChartSingularity(f"expected 5 period-2 pairs, found {lab}")
-    return RP2Chart(b3, pts, np.array(reals), labels)
+    return RP2Chart(b3, pts, np.array(reals), _pair_labels(reg, reals))
 
 
 # --- conic slice ----------------------------------------------------------------
@@ -166,20 +171,7 @@ def conic_slice(reg, catalog):
     if len(verts) != 12:
         raise ChartSingularity(f"expected 12 vertices on the conic, found {len(verts)}")
     verts = np.array(verts)
-    labels = -np.ones(12, dtype=int)
-    lab = 0
-    for i in range(12):
-        if labels[i] >= 0:
-            continue
-        img = reg.h19(verts[i])
-        for j in range(12):
-            if j != i and fs_distance(img, verts[j]) < 1e-6:
-                labels[i] = labels[j] = lab
-                lab += 1
-                break
-    if lab != 6:
-        raise ChartSingularity(f"expected 6 vertex pairs, found {lab}")
-    return ConicSlice(a, verts, labels)
+    return ConicSlice(a, verts, _pair_labels(reg, verts))
 
 
 # --- restricted degree-15 map on a mirror line ------------------------------------
@@ -197,7 +189,7 @@ class Line45Map:
         return np.polyval(self.num, u) / np.polyval(self.den, u)
 
 
-def restricted_psi16(reg, catalog, line_index=None):
+def restricted_psi16(reg, catalog):
     """The induced self-map of a mirror line under the degree-16 map.
 
     For x on the line, the Jacobian of the degree-16 map sends a
@@ -207,10 +199,9 @@ def restricted_psi16(reg, catalog, line_index=None):
     degree-16 polynomials with a common linear factor: degree 15.
     """
     psi = reg.psi16
-    # pick the line y1 = y2 unless told otherwise
-    if line_index is None:
-        want = np.array([1.0, -1.0, 0]) / np.sqrt(2)
-        line_index = int(np.argmin([fs_distance(ell, want) for ell in catalog.line45]))
+    # the mirror line y1 = y2
+    want = np.array([1.0, -1.0, 0]) / np.sqrt(2)
+    line_index = int(np.argmin([fs_distance(ell, want) for ell in catalog.line45]))
     ell = catalog.line45[line_index]
     p_z = catalog.orbit45[line_index]
     # a real basis of the line
@@ -257,15 +248,15 @@ def _line_basis(ell):
     return basis[0], basis[1]
 
 
-def _trim_leading(c, tol=1e-9):
+def _trim_leading(c):
     scale = np.max(np.abs(c))
     k = 0
-    while k < len(c) - 1 and abs(c[k]) < tol * scale:
+    while k < len(c) - 1 and abs(c[k]) < 1e-9 * scale:
         k += 1
     return c[k:]
 
 
-def _reduce_common_roots(num, den, tol=1e-5):
+def _reduce_common_roots(num, den):
     """Drop insignificant leading coefficients and matched root pairs."""
     num = _trim_leading(num)
     den = _trim_leading(den)
@@ -276,7 +267,7 @@ def _reduce_common_roots(num, den, tol=1e-5):
     for r in rn:
         hit = None
         for j, rr in enumerate(rd):
-            if not used[j] and abs(r - rr) < tol * max(1.0, abs(r)):
+            if not used[j] and abs(r - rr) < 1e-5 * max(1.0, abs(r)):
                 hit = j
                 break
         if hit is None:

@@ -163,6 +163,48 @@ def test_family_general_conjugacy(reg, inv, rng):
     _assert_frame_conjugate(fam, sigma_frame(z, inv, reg), reg, rng)
 
 
+def _cycle_points(fam):
+    from valentiner.dynamics import IterationConfig, certified_cycle
+
+    rng = np.random.default_rng(3)
+    for _ in range(8):
+        pair, _, _ = certified_cycle(fam, rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                                     IterationConfig())
+        if pair is not None:
+            return [np.array(p) for p in pair]
+    raise AssertionError("no certified cycle")
+
+
+@pytest.mark.parametrize("case,params", [
+    ("general", (0.9 + 0.1j, 1.1 - 0.3j)), ("general", (0.45 - 0.7j, 1.6 + 0.9j)),
+    ("special", (0.45 + 0.65j,)), ("special", (1.8 - 0.9j,))])
+def test_psi_table_value_matches_raw_table_jets(case, params):
+    # the balanced jets times the covariance factor against the chain on the
+    # raw table form's own derivative tables
+    from valentiner.resolvents import _invariant_chain, _jet_tables
+
+    fam = instantiate_family(params, case)
+    raw = _jet_tables(f6_general(*params) if case == "general" else f6_special(*params))
+    for p in _cycle_points(fam):
+        wt = fam.to_table_coords(p)
+        wt = wt / np.linalg.norm(wt)
+        want = complex(_invariant_chain(raw, wt.astype(np.clongdouble))[4])
+        assert abs(fam.psi_table_value(wt) - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("case,params", [("general", (0.9 + 0.1j, 1.1 - 0.3j)),
+                                         ("special", (0.45 + 0.65j,))])
+def test_certificate_matches_expanded_forms(case, params, rng):
+    from valentiner.hpoly import hessian_det
+
+    fam = instantiate_family(params, case)
+    phi = hessian_det(fam.F).scale(-1 / 20250.0)
+    for w in random_unit_points(rng, 50):
+        cf, cphi = fam.certificate(w)
+        assert abs(cf - abs(fam.F.eval(w)) / fam.F.supnorm()) < 1e-12
+        assert abs(cphi - abs(phi.eval(w)) / phi.supnorm()) < 1e-12
+
+
 def test_family_special_weight_value():
     v = 0.6 + 0.2j
     fam = instantiate_family((v,), "special")
