@@ -206,14 +206,15 @@ def solve_resolvent(params, case="general", cfg=None, selector_table=None):
     rng = np.random.default_rng(cfg.seed)
     coeffs = resolvent_ry(*params) if case == "general" else resolvent_tv(params[0])
     cscale = float(np.max(np.abs(coeffs)))
+    gamma_coeffs = table.contract(params)
     best = None
     for attempt in range(RESTARTS):
         w0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         pair, iters, _ = certified_cycle(fam, w0, cfg)
         if pair is None:
             continue
-        result, gate = _rooted_result(table, fam, pair, coeffs, cscale, case, params,
-                                      iters, attempt + 1)
+        result, gate = _rooted_result(table, gamma_coeffs, fam, pair, coeffs, cscale, case,
+                                      params, iters, attempt + 1)
         if result.residual < CERTIFICATE_TOLERANCE and gate < 1e-6:
             return result
         if best is None or result.residual < best.residual:
@@ -224,11 +225,12 @@ def solve_resolvent(params, case="general", cfg=None, selector_table=None):
     raise AllRestartsFailed(f"no certified cycle in {RESTARTS} restarts")
 
 
-def _rooted_result(table, fam, pair, coeffs, cscale, case, params, iters, attempt):
+def _rooted_result(table, gamma_coeffs, fam, pair, coeffs, cscale, case, params, iters,
+                   attempt):
     from .selectors import select_root
 
-    root, step = _newton_root(coeffs, select_root(table, fam, pair[0]))
-    root2, step2 = _newton_root(coeffs, select_root(table, fam, pair[1]))
+    root, step = _newton_root(coeffs, select_root(table, fam, pair[0], gamma_coeffs))
+    root2, step2 = _newton_root(coeffs, select_root(table, fam, pair[1], gamma_coeffs))
     if (step2 / max(abs(root2), 1e-12)) < (step / max(abs(root), 1e-12)):
         root, step = root2, step2
     resid = abs(eval_monic(coeffs, root)) / cscale

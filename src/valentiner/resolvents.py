@@ -19,6 +19,18 @@ The parametrized frames are
 composed with the fixed simplifying w-substitutions under which the
 cached degree-6 coefficient tables (data/fy_table.json, fv_table.json)
 are stated.
+
+What is built how often:
+
+- per table, on first use: each coefficient table as a dense (28, rows)
+  clongdouble matrix over its parameter monomials (fy_table, fv_table);
+- per family (instantiate_family): the degree-6 form as one product of
+  that matrix with the parameter monomials, its balanced form, the
+  derivative tables of orders 0..4 (the map's jets), and sup|Phi|;
+- per point: the jets at the point, one matrix-vector product per order.
+  The map step and the polish run the whole invariant chain; the
+  certificate reads the order-0 and order-2 jets, and psi_table_value only
+  the order-2 and order-3 jets and the terms Psi needs.
 """
 
 import json
@@ -30,7 +42,7 @@ import numpy as np
 from .equivariants import registry
 from .errors import (DegenerateDenominator, DegenerateFrame, DegenerateParams,
                      NotOnSexticCurve, OnSexticCurve)
-from .hpoly import HPoly, adj3, det3, exps, monomial_index
+from .hpoly import HPoly, _diff_table, adj3, det3, exps, monomial_index, n_monomials
 
 SQ15 = np.sqrt(15.0)
 
@@ -229,10 +241,18 @@ def _load_table(name):
         return json.load(f)
 
 
-def _table_row(terms):
-    """(monomial indices, clongdouble coefficients) of one {"i,j,k": w} row."""
-    e = [[int(v) for v in k.split(",")] for k in terms]
-    return monomial_index(6, e), np.array([float(w) for w in terms.values()], dtype=np.clongdouble)
+def _dense_table(raw):
+    """(parameter exponents, (28, rows) clongdouble matrix) of a {key: {"i,j,k": w}} table.
+
+    Column r holds the degree-6 coefficients multiplying the r-th parameter
+    monomial, so the form at a parameter point is one matrix-vector product.
+    """
+    keys = np.array([[int(v) for v in key.split(",")] for key in raw]).T
+    dense = np.zeros((n_monomials(6), len(raw)), dtype=np.clongdouble)
+    for r, terms in enumerate(raw.values()):
+        e = [[int(v) for v in k.split(",")] for k in terms]
+        dense[monomial_index(6, e), r] = [float(w) for w in terms.values()]
+    return keys, dense
 
 
 _FY = None
@@ -242,35 +262,31 @@ _FV = None
 def fy_table():
     global _FY
     if _FY is None:
-        raw = _load_table("fy_table.json")
-        _FY = {tuple(int(v) for v in ykey.split(",")): _table_row(terms) for ykey, terms in raw.items()}
+        _FY = _dense_table(_load_table("fy_table.json"))
     return _FY
 
 
 def fv_table():
     global _FV
     if _FV is None:
-        raw = _load_table("fv_table.json")
-        _FV = {int(vkey): _table_row(terms) for vkey, terms in raw.items()}
+        _FV = _dense_table(_load_table("fv_table.json"))
     return _FV
+
+
+def _f6(table, params):
+    """sum_r dense[:, r] prod_v params[v]^keys[v, r], in clongdouble."""
+    keys, dense = table
+    mons = np.prod([np.power(np.clongdouble(p), e) for p, e in zip(params, keys)], axis=0)
+    return HPoly(6, dense @ mons)
 
 
 def f6_general(y1, y2):
     """The degree-6 form of the general family at parameters (Y1, Y2)."""
-    p = HPoly(6, np.zeros(28, dtype=np.clongdouble))
-    y1 = np.clongdouble(y1)
-    y2 = np.clongdouble(y2)
-    for (b, c), (idx, coef) in fy_table().items():
-        p.coeffs[idx] += coef * (y1 ** b * y2 ** c)
-    return p
+    return _f6(fy_table(), (y1, y2))
 
 
 def f6_special(v):
-    p = HPoly(6, np.zeros(28, dtype=np.clongdouble))
-    v = np.clongdouble(v)
-    for b, (idx, coef) in fv_table().items():
-        p.coeffs[idx] += coef * v ** b
-    return p
+    return _f6(fv_table(), (v,))
 
 
 # --- per-parameter family -------------------------------------------------------
@@ -281,19 +297,26 @@ def _jet_tables(f6):
 
     Entry k is a (3^k, n) array holding the order-k derivatives in
     lexicographic index order, k = 0..4: enough for the family's
-    invariant chain up to the gradient of its degree-30 invariant.
+    invariant chain up to the gradient of its degree-30 invariant.  Each
+    level differentiates every row of the one before along each axis, by
+    the same gathers as HPoly.diff.
     """
     tables = [f6.coeffs[None, :]]
-    polys = [f6]
-    for _ in range(4):
-        polys = [p.diff(a) for p in polys for a in range(3)]
-        tables.append(np.array([p.coeffs for p in polys]))
+    for d in range(6, 2, -1):
+        prev = tables[-1]
+        out = np.zeros((len(prev), 3, n_monomials(d - 1)), dtype=prev.dtype)
+        for a in range(3):
+            src, dst, fac = _diff_table(d, a)
+            out[:, a, dst] = prev[:, src] * fac
+        tables.append(out.reshape(-1, n_monomials(d - 1)))
     return tables
 
 
 def _jet(tables, w, k):
     """The order-k derivatives of the form at w, as a (3,) * k array."""
-    mon = np.prod(w[None, :] ** exps(6 - k), axis=1)
+    # np.prod's reduction without its argument handling, which costs more
+    # than the product of a few dozen monomials
+    mon = np.multiply.reduce(w[None, :] ** exps(6 - k), axis=1)
     return (tables[k] @ mon).reshape((3,) * k)
 
 
@@ -317,16 +340,20 @@ def _invariant_chain(tables, w):
     dt = w.dtype.type
     f, gf, h, t, q = (_jet(tables, w, k) for k in range(5))
     a_phi = dt(-1 / 20250.0)
-    a_psi = dt(1 / 24300.0)
-    adj = adj3(h)
+    adj, gphi, adj_g, psi = _psi_parts(h, t, dt)
     dadj = adj3(h + t) - adj - adj3(t)          # d adj(H) along each d_l H
     phi = a_phi * (h[0] @ adj[:, 0])
-    gphi = a_phi * np.einsum("ij,kij->k", adj, t)
     hphi = a_phi * (np.einsum("lij,kij->kl", dadj, t) + np.einsum("ij,klij->kl", adj, q))
-    adj_g = adj @ gphi
-    psi = -a_psi * (gphi @ adj_g)
-    gpsi = -a_psi * (2 * (hphi @ adj_g) + np.einsum("i,lij,j->l", gphi, dadj, gphi))
+    gpsi = -dt(1 / 24300.0) * (2 * (hphi @ adj_g) + np.einsum("i,lij,j->l", gphi, dadj, gphi))
     return f, gf, phi, gphi, psi, gpsi
+
+
+def _psi_parts(h, t, dt):
+    """(adj H, grad Phi, adj(H) grad Phi, Psi) from the order-2 and order-3 jets."""
+    adj = adj3(h)
+    gphi = dt(-1 / 20250.0) * np.einsum("ij,kij->k", adj, t)
+    adj_g = adj @ gphi
+    return adj, gphi, adj_g, -dt(1 / 24300.0) * (gphi @ adj_g)
 
 
 # The canonical degree-64 combination, written in the basis of invariant
@@ -426,14 +453,16 @@ class FamilySystem:
 
             Psi_f6(D p) = s^8 det(D)^-6 Psi_F(p).
 
-        Evaluated in extended precision through the same pointwise chain as
-        the map, which survives the very skewed table coordinates at cycle
-        points.
+        Evaluated in extended precision through the Psi part of the map's
+        pointwise chain (order-2 and order-3 jets only), which survives the
+        very skewed table coordinates at cycle points.
         """
         bal = self.balance.astype(np.clongdouble)
         p = np.asarray(w_table).astype(np.clongdouble) / bal
         cov = np.clongdouble(self.table_scale) ** 8 / np.prod(bal) ** 6
-        return complex(_invariant_chain(self.h.jets, p)[4] * cov)
+        jets = self.h.jets
+        psi = _psi_parts(_jet(jets, p, 2), _jet(jets, p, 3), np.clongdouble)[3]
+        return complex(psi * cov)
 
 
 def instantiate_family(params, case="general"):

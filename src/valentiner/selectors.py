@@ -17,11 +17,24 @@ extraction from a shipped or cached table runs without it.
 The final root constant is calibrated during the fit from samples whose
 six roots are known exactly, exercising the same code path as runtime
 extraction, which makes the formula immune to normalization conventions.
+
+Runtime evaluation is split by how often its inputs change:
+
+- per table, at load: the coefficients in clongdouble and in magnitude,
+  and the exponent index arrays of the w-monomials and the basis;
+- per family: SelectorTable.contract, the table contracted with the
+  parameter monomials into Gamma's w-coefficients; solve_resolvent
+  computes it once and passes it to select_root for both cycle points of
+  every restart;
+- per point: gamma_value gathers the w-monomials from three power rows and
+  takes one dot product with the family's vector, and Psi of the table
+  form comes from FamilySystem.psi_table_value.
 """
 
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,34 +63,47 @@ class SelectorTable:
     fit_residual: float
     beta: complex                  # ratio of fitted lead anchor to its printed value
 
-    def gamma_value(self, params, w_table_unit):
+    def __post_init__(self):
+        # per table: exponent index arrays, and the coefficients in
+        # clongdouble and in magnitude
+        self._w_exps = np.array(self.w_monomials).T
+        self._basis_exps = np.array(self.basis).reshape(len(self.basis), -1).T
+        self._basis_top = self._basis_exps.max(axis=1)
+        self._coeffs_ld = self.coefficients.astype(np.clongdouble)
+        self._coeffs_abs = np.abs(self.coefficients)
+
+    def contract(self, params):
+        """Gamma's w-monomial coefficients at one parameter point (clongdouble).
+
+        The per-family half of the table evaluation: a solve contracts once
+        and hands the vector to gamma_value for every point it evaluates.
+        """
+        pw = [np.power(np.clongdouble(p), np.arange(n + 1))
+              for p, n in zip(params, self._basis_top)]
+        return self._coeffs_ld @ _monomials(pw, self._basis_exps)
+
+    def gamma_value(self, params, w_table_unit, coeffs=None):
+        """Gamma at a unit point in table coordinates; coeffs is contract(params)."""
         # extended precision: the coefficient table spans many orders
         # between its head and tail blocks, and the basis monomials run to
         # the 21st power, so binary64 loses several digits here
+        if coeffs is None:
+            coeffs = self.contract(params)
         w = np.asarray(w_table_unit).astype(np.clongdouble)
-        pw = [np.power(w[v], np.arange(11)) for v in range(3)]
-        wvals = np.array([pw[0][e[0]] * pw[1][e[1]] * pw[2][e[2]] for e in self.w_monomials])
-        if self.case == "general":
-            y1, y2 = (np.clongdouble(p) for p in params)
-            bvals = np.array([y1 ** b * y2 ** c for b, c in self.basis])
-        else:
-            v = np.clongdouble(params[0])
-            bvals = np.array([v ** k for k in self.basis])
-        return complex(wvals @ (self.coefficients.astype(np.clongdouble) @ bvals))
+        pw = np.power(w[:, None], np.arange(11))
+        return complex(_monomials(pw, self._w_exps) @ coeffs)
 
     def gamma_scale(self, params, w_table_unit):
         """Largest term magnitude in the table evaluation: values far below
         it sit at the cache's storage noise floor."""
         w = np.abs(np.asarray(w_table_unit, dtype=complex))
         pw = [np.power(w[v], np.arange(11)) for v in range(3)]
-        wvals = np.array([pw[0][e[0]] * pw[1][e[1]] * pw[2][e[2]] for e in self.w_monomials])
-        if self.case == "general":
-            y1, y2 = (abs(p) for p in params)
-            bvals = np.array([y1 ** b * y2 ** c for b, c in self.basis])
-        else:
-            v = abs(params[0])
-            bvals = np.array([v ** k for k in self.basis])
-        return float(np.max(wvals[:, None] * np.abs(self.coefficients) * bvals[None, :]))
+        # scalar pow(), which the binary64 np.power does not always match
+        pb = [np.array([abs(p) ** k for k in range(n + 1)])
+              for p, n in zip(params, self._basis_top)]
+        wvals = _monomials(pw, self._w_exps)
+        bvals = _monomials(pb, self._basis_exps)
+        return float(np.max(wvals[:, None] * self._coeffs_abs * bvals[None, :]))
 
     def anchor_report(self):
         """Fitted anchor coefficients after beta-normalization vs printed."""
@@ -111,20 +137,36 @@ class SelectorTable:
 
     @classmethod
     def from_json_dict(cls, d):
-        co = np.array([[complex(re, im) for re, im in row] for row in d["coefficients"]])
+        # one float64 (n_w, n_basis, 2) array viewed as complex keeps every
+        # part's bits, signed zeros included
+        rows = d["coefficients"]
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype=np.float64)
+        co = flat.reshape(len(rows), -1, 2).view(np.complex128)[..., 0]
         basis = [tuple(b) if isinstance(b, list) else b for b in d["basis"]]
         return cls(d["case"], [tuple(e) for e in d["w_monomials"]], basis, co,
                    complex(*d["sel_const"]), d["fit_residual"], complex(*d["beta"]))
 
 
+def _monomials(pw, e):
+    """prod_v pw[v][e[v]]: the monomials with exponent columns e from
+    per-variable power tables, multiplied left to right."""
+    out = pw[0][e[0]]
+    for v in range(1, len(e)):
+        out = out * pw[v][e[v]]
+    return out
+
+
 # --- runtime root extraction ------------------------------------------------------
 
 
-def selector_raw_value(table, fam, p_internal):
-    """(T_Y Gamma)^3 / Psi_T (general) or V^5 (V-1)^3 Gamma^3 / Psi_T."""
+def selector_raw_value(table, fam, p_internal, coeffs=None):
+    """(T_Y Gamma)^3 / Psi_T (general) or V^5 (V-1)^3 Gamma^3 / Psi_T.
+
+    coeffs is table.contract(fam.params), which a solve computes once.
+    """
     wt = fam.to_table_coords(p_internal)
     wt = wt / np.linalg.norm(wt)
-    g = table.gamma_value(fam.params, wt)
+    g = table.gamma_value(fam.params, wt, coeffs)
     psi_t = fam.psi_table_value(wt)
     if table.case == "general":
         from .resolvents import tau_det_value
@@ -135,9 +177,9 @@ def selector_raw_value(table, fam, p_internal):
     return v ** 5 * (v - 1) ** 3 * g ** 3 / psi_t
 
 
-def select_root(table, fam, p_internal):
+def select_root(table, fam, p_internal, coeffs=None):
     """Root of the family's resolvent from one (polished) cycle point."""
-    return table.sel_const * selector_raw_value(table, fam, p_internal)
+    return table.sel_const * selector_raw_value(table, fam, p_internal, coeffs)
 
 
 # --- high-precision fit machinery -------------------------------------------------

@@ -170,3 +170,24 @@ def test_solving_from_shipped_table_does_not_load_mpmath():
                          env=env, cwd=src, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_family_selector_vector_does_not_leak(selector_general, selector_special):
+    # each solve contracts the selector table at its own parameters: solving
+    # other families in between changes nothing, bit for bit, and every
+    # root is the one its own family's selector picks at its cycle
+    from valentiner.resolvents import instantiate_family
+    from valentiner.selectors import select_root
+
+    a = ((0.7 + 0.2j, 1.1 - 0.3j), "general", IterationConfig(seed=11), selector_general)
+    solves = [a, ((0.45 + 0.65j,), "special", IterationConfig(seed=4), selector_special),
+              ((0.45 - 0.7j, 1.6 + 0.9j), "general", IterationConfig(seed=4), selector_general), a]
+    results = [solve_resolvent(*args) for args in solves]
+    for (params, case, _, table), r in zip(solves, results):
+        assert r.converged
+        fam = instantiate_family(params, case)
+        picks = [select_root(table, fam, np.array(p)) for p in r.cycle]
+        assert min(abs(u - r.root) for u in picks) < 1e-4 * abs(r.root)
+    first, again = results[0], results[-1]
+    assert (again.root, again.iterations, again.restarts_used) == \
+           (first.root, first.iterations, first.restarts_used)

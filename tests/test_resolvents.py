@@ -241,3 +241,63 @@ def test_tau_det_polynomial_consistency(reg, inv, rng):
     f = inv.F.eval(z)
     m = tau_frame(z, inv, reg)
     assert abs(np.linalg.det(m) ** 2 / (f ** 25 * complex(tau_det_value(y1, y2))) - 1) < 1e-8
+
+
+# --- the per-family tables against the formulations they replace ----------------
+
+
+@pytest.mark.parametrize("case,params", [("general", (0.9 + 0.1j, 1.1 - 0.3j)),
+                                         ("special", (0.45 + 0.65j,))])
+def test_jet_tables_match_repeated_diff(case, params):
+    from valentiner.resolvents import _jet_tables
+
+    raw = f6_general(*params) if case == "general" else f6_special(*params)
+    # the raw table form in clongdouble and the family's balanced form in complex128
+    for form in (raw, instantiate_family(params, case).F):
+        polys = [form]
+        for table in _jet_tables(form):
+            assert table.dtype == form.coeffs.dtype
+            assert np.array_equal(table, np.array([p.coeffs for p in polys]))
+            polys = [p.diff(a) for p in polys for a in range(3)]
+
+
+def _f6_by_rows(name, params):
+    """The degree-6 form accumulated row by row over a coefficient table."""
+    from valentiner.hpoly import HPoly, monomial_index
+    from valentiner.resolvents import _load_table
+
+    x = [np.clongdouble(v) for v in params]
+    p = HPoly(6, np.zeros(28, dtype=np.clongdouble))
+    for key, terms in _load_table(name).items():
+        e = [int(v) for v in key.split(",")]
+        idx = monomial_index(6, [[int(v) for v in k.split(",")] for k in terms])
+        coef = np.array([float(w) for w in terms.values()], dtype=np.clongdouble)
+        p.coeffs[idx] += coef * (x[0] ** e[0] if len(e) == 1 else x[0] ** e[0] * x[1] ** e[1])
+    return p.coeffs
+
+
+def test_f6_matches_row_accumulation():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        y = rng.uniform(0.3, 2.2, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
+        got = f6_general(y[0], y[1]).coeffs
+        assert got.dtype == np.clongdouble
+        assert np.array_equal(got, _f6_by_rows("fy_table.json", y[:2]))
+        assert np.array_equal(f6_special(y[2]).coeffs, _f6_by_rows("fv_table.json", y[2:]))
+
+
+@pytest.mark.parametrize("case,params", [("general", (0.9 + 0.1j, 1.1 - 0.3j)),
+                                         ("special", (1.8 - 0.9j,))])
+def test_psi_table_value_is_the_chain_entry(case, params, rng):
+    # the Psi-only path against the full chain it shortens, at cycle points
+    # and at random points
+    from valentiner.resolvents import _invariant_chain
+
+    fam = instantiate_family(params, case)
+    bal = fam.balance.astype(np.clongdouble)
+    cov = np.clongdouble(fam.table_scale) ** 8 / np.prod(bal) ** 6
+    for p in [*_cycle_points(fam), *random_unit_points(rng, 10)]:
+        wt = fam.to_table_coords(p)
+        wt = wt / np.linalg.norm(wt)
+        want = complex(_invariant_chain(fam.h.jets, wt.astype(np.clongdouble) / bal)[4] * cov)
+        assert fam.psi_table_value(wt) == want

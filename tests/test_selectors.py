@@ -187,3 +187,58 @@ def test_fit_ingredients_match_shipped_table(case, selector_general, selector_sp
     else:
         basis = np.array([p[0] ** k for k in table.basis])
     assert np.max(np.abs(table.coefficients @ basis - vec)) < 1e-9 * np.max(np.abs(vec))
+
+
+# --- the hoisted table evaluation against the per-call formulas -----------------
+
+
+def _gamma_per_call(table, params, w):
+    w = np.asarray(w).astype(np.clongdouble)
+    pw = [np.power(w[v], np.arange(11)) for v in range(3)]
+    wvals = np.array([pw[0][e[0]] * pw[1][e[1]] * pw[2][e[2]] for e in table.w_monomials])
+    if table.case == "general":
+        y1, y2 = (np.clongdouble(p) for p in params)
+        bvals = np.array([y1 ** b * y2 ** c for b, c in table.basis])
+    else:
+        v = np.clongdouble(params[0])
+        bvals = np.array([v ** k for k in table.basis])
+    return complex(wvals @ (table.coefficients.astype(np.clongdouble) @ bvals))
+
+
+def _gamma_scale_per_call(table, params, w):
+    w = np.abs(np.asarray(w, dtype=complex))
+    pw = [np.power(w[v], np.arange(11)) for v in range(3)]
+    wvals = np.array([pw[0][e[0]] * pw[1][e[1]] * pw[2][e[2]] for e in table.w_monomials])
+    if table.case == "general":
+        y1, y2 = (abs(p) for p in params)
+        bvals = np.array([y1 ** b * y2 ** c for b, c in table.basis])
+    else:
+        v = abs(params[0])
+        bvals = np.array([v ** k for k in table.basis])
+    return float(np.max(wvals[:, None] * np.abs(table.coefficients) * bvals[None, :]))
+
+
+@pytest.mark.parametrize("case", ["general", "special"])
+def test_hoisted_gamma_matches_per_call_formula(case, selector_general, selector_special, rng):
+    table = selector_general if case == "general" else selector_special
+    for _ in range(20):
+        params = tuple(rng.uniform(0.25, 2.5, 2 if case == "general" else 1)
+                       * np.exp(2j * np.pi * rng.uniform(size=2 if case == "general" else 1)))
+        coeffs = table.contract(params)
+        for w in random_unit_points(rng, 3):
+            want = _gamma_per_call(table, params, w)
+            assert table.gamma_value(params, w) == want
+            assert table.gamma_value(params, w, coeffs) == want
+            assert table.gamma_scale(params, w) == _gamma_scale_per_call(table, params, w)
+
+
+def test_table_load_keeps_every_coefficient_bit(selector_general):
+    from valentiner.selectors import SelectorTable
+
+    d = selector_general.to_json_dict()
+    rows = d["coefficients"]
+    rows[0][0], rows[0][1], rows[1][0], rows[1][1] = [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [3, -2]
+    want = np.array([[complex(re, im) for re, im in row] for row in rows])
+    got = SelectorTable.from_json_dict(d).coefficients
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
