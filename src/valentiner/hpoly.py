@@ -55,6 +55,14 @@ def _diff_table(d, axis):
     return _DIFFTAB[key]
 
 
+def diff_coeffs(coeffs, d, axis):
+    """d/dx_axis of degree-d forms given as coefficient rows (last axis)."""
+    src, dst, fac = _diff_table(d, axis)
+    out = np.zeros(coeffs.shape[:-1] + (n_monomials(d - 1),), dtype=coeffs.dtype)
+    out[..., dst] = coeffs[..., src] * fac
+    return out
+
+
 # --- the polynomial type -----------------------------------------------------
 
 class HPoly:
@@ -151,10 +159,7 @@ class HPoly:
         return out
 
     def diff(self, axis):
-        src, dst, fac = _diff_table(self.degree, axis)
-        out = np.zeros(n_monomials(self.degree - 1), dtype=self.coeffs.dtype)
-        out[dst] = self.coeffs[src] * fac
-        return HPoly(self.degree - 1, out)
+        return HPoly(self.degree - 1, diff_coeffs(self.coeffs, self.degree, axis))
 
     def grad(self):
         return [self.diff(0), self.diff(1), self.diff(2)]

@@ -42,7 +42,7 @@ import numpy as np
 from .equivariants import registry
 from .errors import (DegenerateDenominator, DegenerateFrame, DegenerateParams,
                      NotOnSexticCurve, OnSexticCurve)
-from .hpoly import HPoly, _diff_table, adj3, det3, exps, monomial_index, n_monomials
+from .hpoly import HPoly, adj3, det3, diff_coeffs, exps, monomial_index, n_monomials
 
 SQ15 = np.sqrt(15.0)
 
@@ -298,16 +298,11 @@ def _jet_tables(f6):
     Entry k is a (3^k, n) array holding the order-k derivatives in
     lexicographic index order, k = 0..4: enough for the family's
     invariant chain up to the gradient of its degree-30 invariant.  Each
-    level differentiates every row of the one before along each axis, by
-    the same gathers as HPoly.diff.
+    level differentiates every row of the one before along each axis.
     """
     tables = [f6.coeffs[None, :]]
     for d in range(6, 2, -1):
-        prev = tables[-1]
-        out = np.zeros((len(prev), 3, n_monomials(d - 1)), dtype=prev.dtype)
-        for a in range(3):
-            src, dst, fac = _diff_table(d, a)
-            out[:, a, dst] = prev[:, src] * fac
+        out = np.stack([diff_coeffs(tables[-1], d, a) for a in range(3)], axis=1)
         tables.append(out.reshape(-1, n_monomials(d - 1)))
     return tables
 

@@ -82,13 +82,11 @@ class SelectorTable:
               for p, n in zip(params, self._basis_top)]
         return self._coeffs_ld @ _monomials(pw, self._basis_exps)
 
-    def gamma_value(self, params, w_table_unit, coeffs=None):
+    def gamma_value(self, coeffs, w_table_unit):
         """Gamma at a unit point in table coordinates; coeffs is contract(params)."""
         # extended precision: the coefficient table spans many orders
         # between its head and tail blocks, and the basis monomials run to
         # the 21st power, so binary64 loses several digits here
-        if coeffs is None:
-            coeffs = self.contract(params)
         w = np.asarray(w_table_unit).astype(np.clongdouble)
         pw = np.power(w[:, None], np.arange(11))
         return complex(_monomials(pw, self._w_exps) @ coeffs)
@@ -159,14 +157,14 @@ def _monomials(pw, e):
 # --- runtime root extraction ------------------------------------------------------
 
 
-def selector_raw_value(table, fam, p_internal, coeffs=None):
+def selector_raw_value(table, fam, p_internal, coeffs):
     """(T_Y Gamma)^3 / Psi_T (general) or V^5 (V-1)^3 Gamma^3 / Psi_T.
 
     coeffs is table.contract(fam.params), which a solve computes once.
     """
     wt = fam.to_table_coords(p_internal)
     wt = wt / np.linalg.norm(wt)
-    g = table.gamma_value(fam.params, wt, coeffs)
+    g = table.gamma_value(coeffs, wt)
     psi_t = fam.psi_table_value(wt)
     if table.case == "general":
         from .resolvents import tau_det_value
@@ -177,7 +175,7 @@ def selector_raw_value(table, fam, p_internal, coeffs=None):
     return v ** 5 * (v - 1) ** 3 * g ** 3 / psi_t
 
 
-def select_root(table, fam, p_internal, coeffs=None):
+def select_root(table, fam, p_internal, coeffs):
     """Root of the family's resolvent from one (polished) cycle point."""
     return table.sel_const * selector_raw_value(table, fam, p_internal, coeffs)
 
@@ -412,7 +410,7 @@ def _calibrate_root_constant(table, zs):
         y = frame @ fam.to_table_coords(p_int)
         y = y / np.linalg.norm(y)
         b = int(np.argmin([abs(c.eval(y)) for c in conics]))
-        raw = selector_raw_value(table, fam, p_int)
+        raw = selector_raw_value(table, fam, p_int, table.contract(params))
         consts.append(roots[b] / raw)
     if len(consts) < 4:
         raise FitResidualTooLarge("too few usable calibration samples")

@@ -191,7 +191,7 @@ def test_criterion_8_selector_fit(selector_general, selector_special, reg, inv):
         w = random_unit_points(rng, 1)[0]
         direct, scale = gamma_direct(inv.conics_unbarred, tau_frame(z, inv, reg), z, w,
                                      inv.F.eval(z) ** 42)
-        fitted = selector_general.gamma_value((y1, y2), w)
+        fitted = selector_general.gamma_value(selector_general.contract((y1, y2)), w)
         floor = 1e-12 * selector_general.gamma_scale((y1, y2), w)
         worst = max(worst, abs(fitted - direct) / max(abs(direct), 1e-9 * scale, floor))
         count += 1
@@ -202,7 +202,7 @@ def test_criterion_8_selector_fit(selector_general, selector_special, reg, inv):
         w = random_unit_points(rng, 1)[0]
         direct, scale = gamma_direct(inv.conics_barred, sigma_frame(z, inv, reg), z, w,
                                      inv.Phi.eval(z) * inv.Psi.eval(z) ** 16)
-        fitted = selector_special.gamma_value((v,), w)
+        fitted = selector_special.gamma_value(selector_special.contract((v,)), w)
         floor = 1e-12 * selector_special.gamma_scale((v,), w)
         worst_s = max(worst_s, abs(fitted - direct) / max(abs(direct), 1e-9 * scale, floor))
     # anchors

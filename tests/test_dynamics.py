@@ -186,7 +186,7 @@ def test_family_selector_vector_does_not_leak(selector_general, selector_special
     for (params, case, _, table), r in zip(solves, results):
         assert r.converged
         fam = instantiate_family(params, case)
-        picks = [select_root(table, fam, np.array(p)) for p in r.cycle]
+        picks = [select_root(table, fam, np.array(p), table.contract(params)) for p in r.cycle]
         assert min(abs(u - r.root) for u in picks) < 1e-4 * abs(r.root)
     first, again = results[0], results[-1]
     assert (again.root, again.iterations, again.restarts_used) == \

@@ -41,7 +41,7 @@ def test_general_table_reproduces_direct_evaluation(selector_general, reg, inv, 
         for w in random_unit_points(rng, 4):
             direct = _gamma_direct(inv, inv.conics_unbarred, frame, z, w,
                                    inv.F.eval(z) ** 42)
-            fitted = selector_general.gamma_value((y1, y2), w)
+            fitted = selector_general.gamma_value(selector_general.contract((y1, y2)), w)
             worst = max(worst, abs(fitted - direct) / abs(direct))
         checked += 1
     assert worst < 1e-4
@@ -58,7 +58,7 @@ def test_special_table_reproduces_direct_evaluation(selector_special, reg, inv, 
         norm = inv.Phi.eval(z) * inv.Psi.eval(z) ** 16
         for w in random_unit_points(rng, 3):
             direct = _gamma_direct(inv, inv.conics_barred, frame, z, w, norm)
-            fitted = selector_special.gamma_value((v,), w)
+            fitted = selector_special.gamma_value(selector_special.contract((v,)), w)
             worst = max(worst, abs(fitted - direct) / abs(direct))
     assert worst < 1e-4
 
@@ -146,8 +146,9 @@ def test_roots_from_both_cycle_points_agree(selector_special, reg, inv, rng):
     r = solve_resolvent((v,), "special", IterationConfig(seed=5), selector_special)
     assert r.strict_cycle, "expected a strictly verified two-cycle here"
     fam = instantiate_family((v,), "special")
-    u1 = select_root(selector_special, fam, np.array(r.cycle[0]))
-    u2 = select_root(selector_special, fam, np.array(r.cycle[1]))
+    coeffs = selector_special.contract((v,))
+    u1 = select_root(selector_special, fam, np.array(r.cycle[0]), coeffs)
+    u2 = select_root(selector_special, fam, np.array(r.cycle[1]), coeffs)
     # agreement is limited by the selector's evaluation conditioning at the
     # (skewed) cycle points, a few orders above the cycle-point accuracy
     assert abs(u1 - u2) < 1e-4 * max(abs(u1), 1e-12)
@@ -227,8 +228,7 @@ def test_hoisted_gamma_matches_per_call_formula(case, selector_general, selector
         coeffs = table.contract(params)
         for w in random_unit_points(rng, 3):
             want = _gamma_per_call(table, params, w)
-            assert table.gamma_value(params, w) == want
-            assert table.gamma_value(params, w, coeffs) == want
+            assert table.gamma_value(coeffs, w) == want
             assert table.gamma_scale(params, w) == _gamma_scale_per_call(table, params, w)
 
 
