@@ -59,7 +59,9 @@ def diff_coeffs(coeffs, d, axis):
     """d/dx_axis of degree-d forms given as coefficient rows (last axis)."""
     src, dst, fac = _diff_table(d, axis)
     out = np.zeros(coeffs.shape[:-1] + (n_monomials(d - 1),), dtype=coeffs.dtype)
-    out[..., dst] = coeffs[..., src] * fac
+    # gather and scatter on the leading axis of the transposes: for a single
+    # form (HPoly.diff) that is plain 1-D indexing, numpy's fastest path
+    out.T[dst] = (coeffs.T[src].T * fac).T
     return out
 
 
