@@ -24,7 +24,7 @@ class BasinGrid:
     resolution: int
     extent: float
     labels: np.ndarray          # (res, res) int16, -1 for nonconverged
-    iterations: np.ndarray      # (res, res) uint16
+    iterations: np.ndarray      # (res, res) uint16: first step in the capture disc
     n_attractors: int
 
     def converged_fraction(self):
@@ -55,22 +55,21 @@ _CELL_BLOCK = 65536
 
 
 def _match_attractors(pts, attractors):
-    """Labels of nearest attractors within _MATCH_TOL, else -1 (vectorized)."""
-    p = pts / np.linalg.norm(pts, axis=1, keepdims=True)[:, :]
+    """Labels of nearest attractors within _MATCH_TOL of unit rows pts, else -1 (vectorized)."""
     a = attractors / np.linalg.norm(attractors, axis=1, keepdims=True)
-    overlap = np.abs(np.conj(p) @ a.T if np.iscomplexobj(p) or np.iscomplexobj(a) else p @ a.T)
+    overlap = np.abs(np.conj(pts) @ a.T if np.iscomplexobj(pts) or np.iscomplexobj(a) else pts @ a.T)
     best = np.argmax(overlap, axis=1)
-    good = overlap[np.arange(len(p)), best] > np.cos(_MATCH_TOL)
-    out = np.where(good, best, -1)
-    return out
+    good = overlap[np.arange(len(pts)), best] > np.cos(_MATCH_TOL)
+    return np.where(good, best, -1)
 
 
 def _iterate_to_attractors(emap, pts, attractors, pair_label, max_iter):
     """Iterate emap from every point until it lands on an attractor.
 
     Returns per-point pair labels (-1 where no attractor was reached within
-    max_iter) and the iteration at which each point was captured.  Points
-    go through _CELL_BLOCK at a time, which bounds the working arrays.
+    max_iter) and the iteration at which each point was captured: capture
+    is tested after every step.  Points go through _CELL_BLOCK at a time,
+    which bounds the working arrays.
     """
     labels = np.full(len(pts), -1, dtype=np.int16)
     iters = np.zeros(len(pts), dtype=np.uint16)
@@ -83,16 +82,15 @@ def _iterate_to_attractors(emap, pts, attractors, pair_label, max_iter):
             nrm = np.linalg.norm(z, axis=1, keepdims=True)
             nrm[nrm == 0] = 1.0
             z = z / nrm
-            if k % 3 == 2 or k == max_iter - 1:
-                m = _match_attractors(z, attractors)
-                hit = m >= 0
-                if np.any(hit):
-                    labels[live[hit]] = pair_label[m[hit]].astype(np.int16)
-                    iters[live[hit]] = k + 1
-                    z = z[~hit]
-                    live = live[~hit]
-                    if len(live) == 0:
-                        break
+            m = _match_attractors(z, attractors)
+            hit = m >= 0
+            if np.any(hit):
+                labels[live[hit]] = pair_label[m[hit]].astype(np.int16)
+                iters[live[hit]] = k + 1
+                z = z[~hit]
+                live = live[~hit]
+                if len(live) == 0:
+                    break
     return labels, iters
 
 

@@ -59,10 +59,11 @@ def cmd_verify(args):
     """The verification report.  Each call rebuilds the group and the orbit
     catalog (dedup screened by blocked Gram products, confirmed by exact
     distances: projective.first_unique) and sweeps invariance over
-    SWEEP_BLOCK lift elements per eval_many call."""
+    SWEEP_BLOCK lift elements per eval_forms call."""
     from .equivariants import registry
     from .frames import bub_frame
     from .group import enumerate_group
+    from .hpoly import eval_forms
     from .invariants import verify_relations
     from .orbits import special_orbits
     from .projective import random_unit_points
@@ -85,12 +86,12 @@ def cmd_verify(args):
     n_elems = len(table.lift) if args.thorough else 50
     idx = np.arange(len(table.lift)) if args.thorough else rng.choice(len(table.lift), 50, replace=False)
     invariants = [inv.F, inv.Phi, inv.Psi, inv.X]
-    vals = [p.eval_many(pts) for p in invariants]
+    vals = eval_forms(invariants, pts).T
     worst = 0.0
     for lo in range(0, n_elems, SWEEP_BLOCK):
         moved = np.matmul(pts, table.lift[idx[lo:lo + SWEEP_BLOCK]].transpose(0, 2, 1)).reshape(-1, 3)
-        for p, v in zip(invariants, vals):
-            tv = p.eval_many(moved).reshape(-1, len(pts))
+        for tv, v in zip(eval_forms(invariants, moved).T, vals):
+            tv = tv.reshape(-1, len(pts))
             worst = max(worst, float(np.max(np.abs(tv - v) / np.maximum(np.abs(v), 1e-30))))
     add(f"invariance sweep ({n_elems} lift elements)", worst, worst < 1e-8)
 

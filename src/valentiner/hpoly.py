@@ -10,6 +10,11 @@ or float64 for the numeric lanes, and object arrays for exact and
 high-precision work (Python ints, Fraction, Q(sqrt(-15)) or mpmath
 numbers).  Every operation runs the same code on every dtype; products
 multiply only the nonzero coefficients of each factor.
+
+eval_forms is the one batch evaluator: it evaluates any number of forms
+at the same points in one pass, sharing the power table and the monomial
+gathers.  HPoly.eval_many and EquivariantMap.eval_many call it, and so does
+every caller that needs several forms at the same points.
 """
 
 from fractions import Fraction
@@ -21,7 +26,7 @@ import numpy as np
 _EXPS = {}
 _DIFFTAB = {}
 
-# entries per block of eval_many's power and monomial tables
+# entries per block of eval_forms' power and monomial tables
 _EVAL_BLOCK = 1 << 16
 
 
@@ -194,37 +199,8 @@ class HPoly:
         return complex(self.coeffs @ vals)
 
     def eval_many(self, pts):
-        """Values at an (n, 3) array of points.
-
-        Works over the nonzero monomials only, in the dtype the points and
-        coefficients promote to (real points with real coefficients stay
-        float64, clongdouble coefficients stay clongdouble), one block of
-        points at a time so the power and monomial tables stay bounded (one
-        allocation per call, reused by every block as contiguous slices).
-        """
-        pts = np.asarray(pts)
-        nz = np.flatnonzero(self.coeffs)
-        c = self.coeffs[nz]
-        e = exps(self.degree)[nz].T
-        d = self.degree
-        dtype = np.result_type(pts.dtype, c.dtype, np.float64)
-        out = np.empty(len(pts), dtype=dtype)
-        step = max(1, _EVAL_BLOCK // max(len(nz), 3 * (d + 1)))
-        n = min(step, len(pts))
-        pw_buf, mono_buf = np.empty(3 * (d + 1) * n, dtype), np.empty((2, len(nz) * n), dtype)
-        for lo in range(0, len(pts), step):
-            x = np.asarray(pts[lo:lo + step].T, dtype=dtype, order="C")
-            k = x.shape[1]
-            pw = pw_buf[:3 * (d + 1) * k].reshape(3, d + 1, k)
-            pw[:, 0] = 1
-            for p in range(1, d + 1):
-                np.multiply(pw[:, p - 1], x, out=pw[:, p])
-            mono, fac = (b[:len(nz) * k].reshape(len(nz), k) for b in mono_buf)
-            np.take(pw[0], e[0], axis=0, out=mono, mode="clip")
-            for v in (1, 2):
-                np.multiply(mono, np.take(pw[v], e[v], axis=0, out=fac, mode="clip"), out=mono)
-            out[lo:lo + step] = c @ mono
-        return out
+        """Values at an (n, 3) array of points (see eval_forms)."""
+        return eval_forms([self], pts)[:, 0]
 
     def compose_linear(self, m):
         """P(M x) for a 3x3 matrix M, as an HPoly of the same degree."""
@@ -263,6 +239,46 @@ class HPoly:
 
 
 # --- operations on polynomials -----------------------------------------------
+
+def eval_forms(forms, pts):
+    """Values of several forms at an (n, 3) array of points, as an (n, len(forms)) array.
+
+    Works over the nonzero monomials only, in the dtype the points and
+    coefficients promote to (real points with real coefficients stay
+    float64, clongdouble coefficients stay clongdouble), one block of
+    points at a time so the power and monomial tables stay bounded (one
+    allocation per call, reused by every block as contiguous slices).  Each
+    block builds one power table up to the largest degree and gathers the
+    monomials of every form with one np.take per coordinate; each form then
+    contracts its own rows of the monomial table.
+    """
+    pts = np.asarray(pts)
+    nzs = [np.flatnonzero(f.coeffs) for f in forms]
+    coefs = [f.coeffs[nz] for f, nz in zip(forms, nzs)]
+    e = np.concatenate([exps(f.degree)[nz] for f, nz in zip(forms, nzs)]).T
+    rows = np.cumsum([0] + [len(nz) for nz in nzs]).tolist()
+    d, m = max(f.degree for f in forms), rows[-1]
+    dtype = np.result_type(pts.dtype, *(c.dtype for c in coefs), np.float64)
+    # form-major, so each form's values fill one contiguous row
+    out = np.empty((len(forms), len(pts)), dtype=dtype)
+    step = max(1, _EVAL_BLOCK // max(m, 3 * (d + 1)))
+    n = min(step, len(pts))
+    pw_buf, mono_buf = np.empty(3 * (d + 1) * n, dtype), np.empty((2, m * n), dtype)
+    for lo in range(0, len(pts), step):
+        x = np.asarray(pts[lo:lo + step].T, dtype=dtype, order="C")
+        k = x.shape[1]
+        pw = pw_buf[:3 * (d + 1) * k].reshape(3, d + 1, k)
+        pw[:, 0] = 1
+        for p in range(1, d + 1):
+            np.multiply(pw[:, p - 1], x, out=pw[:, p])
+        mono, fac = (b[:m * k].reshape(m, k) for b in mono_buf)
+        np.take(pw[0], e[0], axis=0, out=mono, mode="clip")
+        for v in (1, 2):
+            np.multiply(mono, np.take(pw[v], e[v], axis=0, out=fac, mode="clip"), out=mono)
+        for j, c in enumerate(coefs):
+            out[j, lo:lo + step] = c @ mono[rows[j]:rows[j + 1]]
+    return out.T
+
 
 def _ring_div(a, b):
     """a / b, staying in the integers when both are ints and b divides a."""
@@ -396,7 +412,7 @@ class EquivariantMap:
         return np.array(out, dtype=object if obj else complex)
 
     def eval_many(self, pts):
-        return np.stack([c.eval_many(pts) for c in self.components], axis=1)
+        return eval_forms(self.components, pts)
 
     def __add__(self, other):
         return EquivariantMap([a + b for a, b in zip(self.components, other.components)])

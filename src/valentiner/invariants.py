@@ -22,8 +22,8 @@ from .context import CTX64
 from .errors import NormalizationFailure
 from .frames import bub_frame, frame_by_name
 from .group import conic_forms_octahedral, transport_conics
-from .hpoly import (HPoly, bordered_hessian_det, grad_cross, hessian_det, jacobian_det,
-                    monomial_index)
+from .hpoly import (HPoly, bordered_hessian_det, eval_forms, grad_cross, hessian_det,
+                    jacobian_det, monomial_index)
 
 ALPHA_PHI = Fraction(-1, 20250)
 ALPHA_PSI = Fraction(1, 24300)
@@ -156,12 +156,8 @@ def build_invariants(frame_name="bub22", ctx=CTX64):
 
 
 def _eval_products(inv, pts):
-    return {
-        "F": inv.F.eval_many(pts),
-        "Phi": inv.Phi.eval_many(pts),
-        "Psi": inv.Psi.eval_many(pts),
-        "X": inv.X.eval_many(pts),
-    }
+    vals = eval_forms([inv.F, inv.Phi, inv.Psi, inv.X], pts)
+    return dict(zip(("F", "Phi", "Psi", "X"), vals.T))
 
 
 def verify_relations(inv, n_points=200, seed=0, rel_tol=1e-7):

@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import OrbitSizeMismatch
 from .group import conic_permutation, proj_orders
+from .hpoly import eval_forms
 from .projective import first_unique, fs_distances, normalize_point
 
 PAIRS15 = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
@@ -70,15 +71,15 @@ def special_orbits(table, inv):
                          tuple(i + 1 for i in range(6) if pu[i] == i)))
 
     pts = points(5)
-    on72 = ((np.abs(inv.F.eval_many(pts)) < 1e-6 * inv.F.supnorm())
-            & (np.abs(inv.Phi.eval_many(pts)) < 1e-6 * inv.Phi.supnorm()))
+    f, phi = np.abs(eval_forms([inv.F, inv.Phi], pts)).T
+    on72 = (f < 1e-6 * inv.F.supnorm()) & (phi < 1e-6 * inv.Phi.supnorm())
     orbit72, orbit36 = unique(pts[on72]), unique(pts[~on72])
 
     orbit90 = unique(points(4), orbit45)
 
     pts = points(3)
-    on_b = np.min([np.abs(c.eval_many(pts)) for c in inv.conics_barred], axis=0)
-    on_u = np.min([np.abs(c.eval_many(pts)) for c in inv.conics_unbarred], axis=0)
+    on_b = np.min(np.abs(eval_forms(inv.conics_barred, pts)), axis=1)
+    on_u = np.min(np.abs(eval_forms(inv.conics_unbarred, pts)), axis=1)
     on_barred = (on_b < 1e-6) & (on_u > 1e-4)
     on_unbarred = (on_u < 1e-6) & (on_b > 1e-4)
     if not np.all(on_barred | on_unbarred):

@@ -26,7 +26,8 @@ What is built how often:
   clongdouble matrix over its parameter monomials (fy_table, fv_table);
 - per family (instantiate_family): the degree-6 form as one product of
   that matrix with the parameter monomials, its balanced form, the
-  derivative tables of orders 0..4 (the map's jets), and sup|Phi|;
+  derivative tables of orders 0..4 (the map's jets), sup|Phi|, T_Y (read
+  by the selector) and psi_table_value's covariance factor;
 - per point: the jets at the point, one matrix-vector product per order.
   The map step and the polish run the whole invariant chain; the
   certificate reads the order-0 and order-2 jets, and psi_table_value only
@@ -34,7 +35,7 @@ What is built how often:
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -425,6 +426,12 @@ class FamilySystem:
     balance: np.ndarray       # diagonal change from internal to table coordinates
     table_scale: float        # sup normalization applied after rebalancing
     phi_sup: float            # sup norm of Phi = -det(H)/20250 of F
+    t_y: complex              # T_Y = tau_det_value(*params) (general), None (special)
+    psi_cov: np.clongdouble = field(init=False)  # s^8 det(D)^-6 (see psi_table_value)
+
+    def __post_init__(self):
+        self.psi_cov = (np.clongdouble(self.table_scale) ** 8
+                        / np.prod(self.balance.astype(np.clongdouble)) ** 6)
 
     def certificate(self, w):
         """(|F(w)|, |Phi(w)|) at unit w, each over its sup norm (that of F is 1)."""
@@ -454,10 +461,9 @@ class FamilySystem:
         """
         bal = self.balance.astype(np.clongdouble)
         p = np.asarray(w_table).astype(np.clongdouble) / bal
-        cov = np.clongdouble(self.table_scale) ** 8 / np.prod(bal) ** 6
         jets = self.h.jets
         psi = _psi_parts(_jet(jets, p, 2), _jet(jets, p, 3), np.clongdouble)[3]
-        return complex(psi * cov)
+        return complex(psi * self.psi_cov)
 
 
 def instantiate_family(params, case="general"):
@@ -479,6 +485,7 @@ def instantiate_family(params, case="general"):
             raise DegenerateParams("V in {0, 1} is singular")
         f6 = f6_special(v)
         weight = sigma_det_sq_value(v) / ETA_FV
+        t_y = None
     else:
         raise ValueError(case)
     # the tables' coordinates are strongly anisotropic (coefficients span
@@ -500,7 +507,7 @@ def instantiate_family(params, case="general"):
     # sup|Phi| from the Hessian det of the map's own second-derivative rows
     hess = [[HPoly(4, row) for row in rows] for rows in h.jets[2].reshape(3, 3, -1)]
     return FamilySystem(case, tuple(params), f6b, h, weight, bal, float(scale),
-                        det3(hess).supnorm() / 20250.0)
+                        det3(hess).supnorm() / 20250.0, None if t_y is None else complex(t_y))
 
 
 # --- cross-validation helpers (defining quotients vs cached tables) -------------

@@ -167,10 +167,7 @@ def selector_raw_value(table, fam, p_internal, coeffs):
     g = table.gamma_value(coeffs, wt)
     psi_t = fam.psi_table_value(wt)
     if table.case == "general":
-        from .resolvents import tau_det_value
-
-        t_y = complex(tau_det_value(*fam.params))
-        return (t_y * g) ** 3 / psi_t
+        return (fam.t_y * g) ** 3 / psi_t
     (v,) = fam.params
     return v ** 5 * (v - 1) ** 3 * g ** 3 / psi_t
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valentiner.hpoly import (EquivariantMap, HPoly, bordered_hessian_det, divide_exact, exps,
-                              grad_cross, hessian_det, jacobian_det, monomial_index, n_monomials)
+from valentiner.hpoly import (EquivariantMap, HPoly, bordered_hessian_det, divide_exact,
+                              eval_forms, exps, grad_cross, hessian_det, jacobian_det,
+                              monomial_index, n_monomials)
 
 
 def _random_poly(rng, degree):
@@ -69,6 +70,40 @@ def test_eval_many_reused_tables_are_bitwise_fresh(rng, n):
                    (f6_general(0.7 + 0.2j, 1.1 - 0.3j), zc)]:
         got, want = p.eval_many(pts), _eval_many_fresh_tables(p, pts)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_eval_forms_matches_pointwise_eval(rng, inv):
+    """One pass over forms of degrees 6, 12, 30 and 45 agrees with each form's
+    pointwise eval, in the dtype the points and coefficients promote to."""
+    from valentiner.resolvents import f6_general
+
+    # the invariants' supports are sparse; 150 points span several blocks
+    zc = rng.standard_normal((150, 3)) + 1j * rng.standard_normal((150, 3))
+    real = [HPoly(d, rng.standard_normal(n_monomials(d))) for d in (6, 12, 30, 45)]
+    cases = [([inv.F, inv.Phi, inv.Psi, inv.X], zc, np.complex128),
+             (real, rng.standard_normal((150, 3)), np.float64),
+             ([f6_general(0.7 + 0.2j, 1.1 - 0.3j), inv.Phi, inv.Psi, inv.X], zc, np.clongdouble)]
+    for forms, pts, dtype in cases:
+        vals = eval_forms(forms, pts)
+        assert vals.shape == (len(pts), len(forms)) and vals.dtype == dtype
+        for p, col in zip(forms, vals.T):
+            ref = np.array([p.eval(x) for x in pts])
+            assert np.max(np.abs(col - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_map_eval_many_matches_per_component(rng, reg):
+    """EquivariantMap.eval_many agrees with each component's eval_many to 4 eps,
+    relative to the sum of the terms' moduli (only the summation blocks differ)."""
+    h_real = EquivariantMap([HPoly(c.degree, c.coeffs.real.copy()) for c in reg.h19.components])
+    zc = rng.standard_normal((2000, 3)) + 1j * rng.standard_normal((2000, 3))
+    for h, pts in [(reg.h19, zc), (h_real, zc.real)]:
+        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        got = h.eval_many(pts)
+        want = np.stack([c.eval_many(pts) for c in h.components], axis=1)
+        scale = np.stack([HPoly(c.degree, np.abs(c.coeffs)).eval_many(np.abs(pts))
+                          for c in h.components], axis=1)
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want) / scale) <= 4 * np.finfo(float).eps
 
 
 def test_compose_identity_and_roundtrip(rng):

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from valentiner.basins import d5_symmetry_mismatch, render_basins
-from valentiner.projective import fs_distance
+from valentiner.basins import _MATCH_TOL, d5_symmetry_mismatch, render_basins
+from valentiner.projective import fs_distance, fs_distances
 from valentiner.slices import conic_slice, restricted_psi16, rp2_chart
 
 
@@ -57,6 +57,34 @@ def test_rp2_basins(reg, catalog):
     assert grid.converged_fraction() >= 0.95
     assert set(np.unique(grid.labels)) <= {0, 1, 2, 3, 4}
     assert d5_symmetry_mismatch(grid, reg, catalog) < 0.01
+
+
+def test_rp2_iterations_is_the_capture_step(reg, catalog):
+    """A cell's iteration count is the first step whose iterate lies in the
+    capture disc of an attractor of its label."""
+    grid = render_basins("rp2", reg, catalog, resolution=40, max_iter=200)
+    chart = rp2_chart(reg, catalog)
+    xs = np.linspace(-grid.extent, grid.extent, grid.resolution)
+    t1, t2 = np.meshgrid(xs, xs)
+    cells = np.stack([t1.ravel(), t2.ravel()], axis=1)
+    labels, iters = grid.labels.ravel(), grid.iterations.ravel().astype(int)
+    picked = np.flatnonzero(labels >= 0)[::31][:50]
+    assert len(picked) == 50
+    z = chart.to_points(cells[picked]).astype(complex)
+    z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    # dist[k, i]: FS distance of cell i's k-th iterate to the nearest attractor
+    # of its label; far[k, i]: to the nearest attractor of any label
+    dist, far = [], []
+    for k in range(int(iters[picked].max()) + 1):
+        d = fs_distances(z[:, None, :], chart.attractor_points[None, :, :])
+        same = chart.pair_label[None, :] == labels[picked][:, None]
+        dist.append(np.min(np.where(same, d, np.inf), axis=1))
+        far.append(np.min(d, axis=1))
+        z = reg.h19.eval_many(z)
+        z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    cols = np.arange(len(picked))
+    assert np.all(np.array(dist)[iters[picked], cols] < _MATCH_TOL)
+    assert np.all(np.array(far)[iters[picked] - 1, cols] >= _MATCH_TOL)
 
 
 def test_conic_basins(reg, catalog):
