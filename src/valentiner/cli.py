@@ -86,13 +86,12 @@ def cmd_verify(args):
     n_elems = len(table.lift) if args.thorough else 50
     idx = np.arange(len(table.lift)) if args.thorough else rng.choice(len(table.lift), 50, replace=False)
     invariants = [inv.F, inv.Phi, inv.Psi, inv.X]
-    vals = eval_forms(invariants, pts).T
+    vals = eval_forms(invariants, pts).T[:, None]
     worst = 0.0
     for lo in range(0, n_elems, SWEEP_BLOCK):
         moved = np.matmul(pts, table.lift[idx[lo:lo + SWEEP_BLOCK]].transpose(0, 2, 1)).reshape(-1, 3)
-        for tv, v in zip(eval_forms(invariants, moved).T, vals):
-            tv = tv.reshape(-1, len(pts))
-            worst = max(worst, float(np.max(np.abs(tv - v) / np.maximum(np.abs(v), 1e-30))))
+        tv = eval_forms(invariants, moved).T.reshape(len(invariants), -1, len(pts))
+        worst = max(worst, float(np.max(np.abs(tv - vals) / np.maximum(np.abs(vals), 1e-30))))
     add(f"invariance sweep ({n_elems} lift elements)", worst, worst < 1e-8)
 
     rep = verify_relations(inv, n_points=args.points, seed=args.seed)

@@ -28,7 +28,8 @@ import numpy as np
 from .context import CTX64
 from .errors import VanishingFailure
 from .frames import bub_frame
-from .hpoly import EquivariantMap, HPoly, det3, divide_exact, exps, identity_times, monomial_index
+from .hpoly import (EquivariantMap, HPoly, det3, divide_exact, eval_forms, exps, identity_times,
+                    monomial_index)
 from .invariants import exact_chain
 
 
@@ -399,7 +400,8 @@ def verify_h19(reg, catalog, seed=0, n_conic=50):
     jdet = h.jacobian_det()
     fg = inv.F * inv.G48
     sample = random_unit_points(rng, 20)
-    ratios = jdet.eval_many(sample) / fg.eval_many(sample)
+    j, f_g = eval_forms([jdet, fg], sample).T
+    ratios = j / f_g
     dev = float(np.max(np.abs(ratios - 1.0)))
     add("|J_h19| = F G48", dev, dev < 1e-6)
 
@@ -417,8 +419,8 @@ def verify_h19(reg, catalog, seed=0, n_conic=50):
     worst = float(np.max(fs_distances(h.eval_many(fixed), fixed)))
     add("36/45/60-points fixed", worst, worst < 1e-7)
 
-    jac = np.array([[c.diff(v).eval_many(p72[:12]) for v in range(3)] for c in h.components])
-    s = np.linalg.svd(jac.transpose(2, 0, 1), compute_uv=False)
+    jac = eval_forms([c.diff(v) for c in h.components for v in range(3)], p72[:12])
+    s = np.linalg.svd(jac.reshape(-1, 3, 3), compute_uv=False)
     ranks = s[:, 1] / s[:, 0]
     add("Jacobian rank one at 72-points", float(np.max(ranks)), np.max(ranks) < 1e-6)
 
