@@ -5,18 +5,22 @@ The degree-19 map is constructed from scratch, exactly:
 
 1. the fourteen degree-64 maps (invariant promotions of the three cross
    maps) span all degree-64 equivariants;
-2. restricting to the mirror line y1 = y2 and solving the exact rational
-   nullspace gives the 3-dimensional space of 64-maps vanishing on all 45
+2. restricting to the mirror line y1 = y2 gives integer conditions whose
+   nullspace, found by fraction-free (Bareiss) elimination over the
+   integers, is the 3-dimensional space of 64-maps vanishing on all 45
    mirror lines;
 3. exact division by the degree-45 form turns these into degree-19 maps;
 4. inside that space, preserving one barred and one unbarred conic is a
-   linear condition over Q(sqrt(-15)); its solution is the canonical map.
+   linear condition over Q(sqrt(-15)); it is evaluated in Z[sqrt(-15)] at
+   points scaled to be integral, which multiplies every condition by one
+   common factor, and solved by Cramer's rule with a single division by
+   the norm of the determinant.  Its solution is the canonical map.
 
-Every step runs on HPoly with exact coefficients (Python ints, Fraction,
-and Q(sqrt(-15)) for the conic conditions).  The result has integer
-coefficients; it is compared coefficient-by-coefficient against the
-published table, and any disagreements are reported rather than silently
-adopted.
+Every step runs on HPoly with Python-int coefficients; Fraction appears
+only in the small echelon back-substitution and the solved scalars.  The
+result has integer coefficients; it is compared coefficient-by-coefficient
+against the published table, and any disagreements are reported rather
+than silently adopted.
 """
 
 import itertools
@@ -31,61 +35,6 @@ from .frames import bub_frame
 from .hpoly import (EquivariantMap, HPoly, det3, divide_exact, eval_forms, exps, identity_times,
                     monomial_index)
 from .invariants import exact_chain
-
-
-class Q15:
-    """The field Q(sqrt(-15)): numbers a + b*w with w^2 = -15, exact rationals a, b.
-
-    Conic coefficients and the barred/unbarred split live here; the basic
-    invariants themselves are plain integers in the special real frame.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __add__(self, o):
-        o = o if isinstance(o, Q15) else Q15(o)
-        return Q15(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Q15(-self.a, -self.b)
-
-    def __sub__(self, o):
-        return self + (-(o if isinstance(o, Q15) else Q15(o)))
-
-    def __rsub__(self, o):
-        return (-self) + o
-
-    def __mul__(self, o):
-        o = o if isinstance(o, Q15) else Q15(o)
-        return Q15(self.a * o.a - 15 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = o if isinstance(o, Q15) else Q15(o)
-        n = o.a * o.a + 15 * o.b * o.b
-        if n == 0:
-            raise ZeroDivisionError("Q15 division by zero")
-        return self * Q15(o.a / n, -o.b / n)
-
-    def conj(self):
-        return Q15(self.a, -self.b)
-
-    def __eq__(self, o):
-        o = o if isinstance(o, Q15) else Q15(o)
-        return self.a == o.a and self.b == o.b
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __repr__(self):
-        return f"Q15({self.a}, {self.b})"
 
 
 # promotions: (which cross map, F-power, Phi-power, Psi-power)
@@ -116,38 +65,38 @@ def _restrict_line(p):
     return out
 
 
-def _rational_nullspace(rows, ncols):
-    """Nullspace basis of an exact rational matrix, via RREF."""
+def _integer_nullspace(rows, ncols):
+    """Nullspace basis of an integer matrix, the one its RREF gives.
+
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968) brings the
+    rows to echelon form in Python ints: every entry is a minor of the
+    input, so each division by the previous pivot is exact.  The pivot
+    columns are the RREF's.  The basis vector of free column fc is 1 at fc
+    and 0 at the other free columns; back-substitution over Fraction on the
+    r echelon rows fills in its pivot entries, which are then the RREF's
+    -R[:, fc].
+    """
     m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
+    pivots, prev = [], 1
     for c in range(ncols):
-        pr = None
-        for rr in range(r, nrows):
-            if m[rr][c] != 0:
-                pr = rr
-                break
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for rr in range(nrows):
-            if rr != r and m[rr][c] != 0:
-                fac = m[rr][c]
-                m[rr] = [a - fac * b for a, b in zip(m[rr], m[r])]
+        p = m[r][c]
+        for i in range(r + 1, len(m)):
+            fac = m[i][c]
+            m[i] = [(p * a - fac * b) // prev for a, b in zip(m[i], m[r])]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -m[rr][fc]
+        for r in reversed(range(len(pivots))):
+            pc = pivots[r]
+            v[pc] = Fraction(-sum(m[r][j] * v[j] for j in range(pc + 1, ncols)), m[r][pc])
         basis.append(v)
     return basis
 
@@ -157,8 +106,8 @@ def _vanishing_family():
     basis = _exact_basis_64()
     # one row per (component, power of s) of the restriction, one column per basis map
     cols = [np.concatenate([_restrict_line(comp) for comp in bmap]) for bmap in basis]
-    rows = [[Fraction(v) for v in row] for row in zip(*cols) if any(row)]
-    null = _rational_nullspace(rows, len(basis))
+    rows = [row for row in zip(*cols) if any(row)]
+    null = _integer_nullspace(rows, len(basis))
     if len(null) != 3:
         raise VanishingFailure(f"expected a 3-dimensional vanishing family, got {len(null)}")
     return basis, null
@@ -169,40 +118,106 @@ def _combo_map(basis, vec):
             for i in range(3)]
 
 
-def _conic_condition_rows(g_comps, f_x, phi_x, a_coef, svals):
+# 6A for the barred conic A y1 y2 + y3^2 = 0, A = -(1 + w)/6, and for the
+# unbarred one, its conjugate: pairs (a, b) = a + b w in Z[w], w^2 = -15
+A6_BARRED, A6_UNBARRED = (-1, -1), (-1, 1)
+
+
+def _zw_mul(x, y):
+    """Product of x = x0 + x1 w and y = y0 + y1 w in Z[w], w^2 = -15, as a pair
+    (parts may be numpy arrays, multiplied elementwise)."""
+    return x[0] * y[0] - 15 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _zw_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _zw_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _zw_eval(forms, pt):
+    """Values of integer forms at a point of Z[w]^3 given as three pairs."""
+    d, pws = max(f.degree for f in forms), []
+    for x in pt:
+        pw = [(1, 0)]
+        for _ in range(d):
+            pw.append(_zw_mul(pw[-1], x))
+        pws.append(np.array(pw, dtype=object).T)
+    vals = []
+    for f in forms:
+        nz = np.flatnonzero(f.coeffs)
+        e = exps(f.degree)[nz].T
+        mono = _zw_mul(_zw_mul(pws[0][:, e[0]], pws[1][:, e[1]]), pws[2][:, e[2]])
+        vals.append(tuple(f.coeffs[nz] @ part for part in mono))
+    return vals
+
+
+def _conic_condition_rows(g_comps, f_x, phi_x, a6, svals):
     """Linear conditions in (u, v) for g + (u F^3 + v F Phi) id to fix the conic
-    A y1 y2 + y3^2 = 0, evaluated at parameter points [s^2, -A, A s]."""
-    f3 = f_x.pow(3)
-    fphi = f_x * phi_x
+    A y1 y2 + y3^2 = 0, given a6 = 6A in Z[w], as rows of Z[w] pairs.
+
+    The conditions are evaluated at the parameter points [s^2, -A, A s]
+    scaled by 6, [6 s^2, -a6, a6 s], which are integral.  Each row is
+    homogeneous of degree 38 in the point and linear in A, so with a6 in
+    place of A every row is 6^39 times the unscaled one, and (u, v) is the
+    same.
+    """
+    forms = [*g_comps, f_x.pow(3), f_x * phi_x]
     rows = []
     for s in svals:
-        pt = (Q15(s * s), -a_coef, a_coef * Q15(s))
-        g = [c.eval(pt) for c in g_comps]
-        cg = a_coef * g[0] * g[1] + g[2] * g[2]
-        lin = a_coef * (g[0] * pt[1] + g[1] * pt[0]) + 2 * g[2] * pt[2]
-        rows.append((f3.eval(pt) * lin, fphi.eval(pt) * lin, -cg))
+        pt = ((6 * s * s, 0), (-a6[0], -a6[1]), (a6[0] * s, a6[1] * s))
+        g0, g1, g2, f3, fphi = _zw_eval(forms, pt)
+        # 6^39 times A g0 g1 + g2^2 and 6^21 times A (g0 y2 + g1 y1) + 2 g2 y3
+        cg = _zw_add(_zw_mul(a6, _zw_mul(g0, g1)), _zw_mul((6, 0), _zw_mul(g2, g2)))
+        lin = _zw_add(_zw_mul(a6, _zw_add(_zw_mul(g0, pt[1]), _zw_mul(g1, pt[0]))),
+                      _zw_mul((12, 0), _zw_mul(g2, pt[2])))
+        rows.append((_zw_mul(f3, lin), _zw_mul(fphi, lin), _zw_mul((-1, 0), cg)))
     return rows
 
 
 def _solve2(rows):
-    """Exact solution (u, v) of rows a u + b v = c, or None if there is none.
+    """Exact solution (u, v) of rows a u + b v = c over Z[w], or None if there is none.
 
-    Solves from the first independent pair of rows, then checks every row;
-    None when no pair is independent or a row fails.  Runs over any exact
-    field (Fraction, Q15).  The per-conic conditions have rank one per conic
-    system (the degree-12 invariant restricts to the square of the degree-6
-    one on a conic), so an independent pair is searched for rather than
-    assumed.
+    Cramer's rule on the first independent pair of rows gives u = du / det
+    and v = dv / det; every row is checked by cross-multiplying,
+    a du + b dv = c det, and u, v are returned as pairs of Fractions after
+    one division by the norm det conj(det), a rational integer.  None when
+    no pair is independent or a row fails.  The per-conic conditions have
+    rank one per conic system (the degree-12 invariant restricts to the
+    square of the degree-6 one on a conic), so an independent pair is
+    searched for rather than assumed.
     """
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        a1, b1, c1 = rows[i]
-        a2, b2, c2 = rows[j]
-        det = a1 * b2 - a2 * b1
-        if det:
-            u = (c1 * b2 - c2 * b1) / det
-            v = (a1 * c2 - a2 * c1) / det
-            return (u, v) if all(a * u + b * v == c for a, b, c in rows) else None
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(rows, 2):
+        det = _zw_sub(_zw_mul(a1, b2), _zw_mul(a2, b1))
+        if det != (0, 0):
+            du = _zw_sub(_zw_mul(c1, b2), _zw_mul(c2, b1))
+            dv = _zw_sub(_zw_mul(a1, c2), _zw_mul(a2, c1))
+            if any(_zw_add(_zw_mul(a, du), _zw_mul(b, dv)) != _zw_mul(c, det) for a, b, c in rows):
+                return None
+            norm = det[0] ** 2 + 15 * det[1] ** 2
+            return tuple(tuple(Fraction(p, norm) for p in _zw_mul(d, (det[0], -det[1])))
+                         for d in (du, dv))
     return None
+
+
+def _nontrivial_member():
+    """A degree-19 map of the vanishing family outside the span of the trivial
+    maps F^3 id and F Phi id, returned with those two maps' components."""
+    f_x, phi_x, _, x45 = exact_chain()[:4]
+    basis, null = _vanishing_family()
+    gs = []
+    for vec in null:
+        den = lcm(*[w.denominator for w in vec])
+        f64 = _combo_map(basis, [int(w * den) for w in vec])
+        gs.append([divide_exact(c, x45) for c in f64])
+    t1 = identity_times(f_x.pow(3)).components
+    t2 = identity_times(f_x * phi_x).components
+    gstar = next((g for g in gs if not _in_trivial_span(g, t1, t2)), None)
+    if gstar is None:
+        raise VanishingFailure("vanishing family is entirely trivial")
+    return gstar, t1, t2
 
 
 def build_h19_exact():
@@ -211,43 +226,31 @@ def build_h19_exact():
     Returns (h19_components, f19_components) as lists of three integer
     HPolys, where f19 = h19 - 1620 F^3 id.
     """
-    f_x, phi_x, psi_x, x45 = exact_chain()[:4]
-    basis, null = _vanishing_family()
-    gs = []
-    for vec in null:
-        den = lcm(*[w.denominator for w in vec])
-        f64 = _combo_map(basis, [int(w * den) for w in vec])
-        gs.append([divide_exact(c, x45) for c in f64])
-    # trivial maps
-    t1 = identity_times(f_x.pow(3)).components
-    t2 = identity_times(f_x * phi_x).components
-    # a member of the family independent of the trivial maps
-    gstar = next((g for g in gs if not _in_trivial_span(g, t1, t2)), None)
-    if gstar is None:
-        raise VanishingFailure("vanishing family is entirely trivial")
-    # conic preservation over Q(sqrt(-15)): A = -(1 + w)/6 for the barred conic,
-    # conjugate for the unbarred one
-    a_b = Q15(Fraction(-1, 6), Fraction(-1, 6))
-    rows = _conic_condition_rows(gstar, f_x, phi_x, a_b, (1, 2, 3))
-    rows += _conic_condition_rows(gstar, f_x, phi_x, a_b.conj(), (1, 2, 3))
+    f_x, phi_x = exact_chain()[:2]
+    gstar, t1, t2 = _nontrivial_member()
+    # conic preservation over Z[w], for one barred and one unbarred conic
+    rows = [row for a6 in (A6_BARRED, A6_UNBARRED)
+            for row in _conic_condition_rows(gstar, f_x, phi_x, a6, (1, 2, 3))]
     sol = _solve2(rows)
     if sol is None:
         raise VanishingFailure("conic-preservation conditions are inconsistent or rank deficient")
-    u, v = sol
-    # h = gstar + (u F^3 + v F Phi) id, coefficients should be rational
-    h = [gstar[i] + t1[i].scale(u) + t2[i].scale(v) for i in range(3)]
-    if any(c.b for comp in h for c in comp.coeffs):
+    (u, u_w), (v, v_w) = sol
+    if u_w or v_w:
         raise VanishingFailure("canonical map has non-real coefficients")
-    q = np.array([[c.a for c in comp.coeffs] for comp in h], dtype=object)
+    # den h = den (gstar + (u F^3 + v F Phi) id), with rational u, v and
+    # integer den u, den v
+    den = lcm(u.denominator, v.denominator)
+    q = np.array([g.coeffs * den + a.coeffs * int(u * den) + b.coeffs * int(v * den)
+                  for g, a, b in zip(gstar, t1, t2)])
     # scale: anchor the overall factor on the published pure-y3 coefficient
     # of the third component
     anchor = q[2, monomial_index(19, (0, 0, 19))]
     if anchor == 0:
         raise VanishingFailure("no y3^19 anchor in constructed map")
-    q = q * (Fraction(-1023516) / anchor)
-    if any(c.denominator != 1 for c in q.flat):
+    q = q * -1023516
+    if any((q % anchor).flat):
         raise VanishingFailure("published anchor does not give integer scaling")
-    h19 = [HPoly(19, np.array([int(c) for c in row], dtype=object)) for row in q]
+    h19 = [HPoly(19, row // anchor) for row in q]
     f19 = [h19[i] - t1[i].scale(1620) for i in range(3)]
     return h19, f19
 
@@ -437,7 +440,7 @@ def verify_h19(reg, catalog, seed=0, n_conic=50):
 
 
 def _in_trivial_span(g, t1, t2):
-    """Exact check whether g is a rational combination of t1, t2."""
-    rows = [tuple(Fraction(v) for v in r)
+    """Exact check whether the integer map g is a rational combination of t1, t2."""
+    rows = [tuple((v, 0) for v in r)
             for i in range(3) for r in zip(t1[i].coeffs, t2[i].coeffs, g[i].coeffs) if any(r)]
     return _solve2(rows) is not None

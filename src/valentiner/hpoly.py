@@ -7,9 +7,9 @@ degree-64 ones 2145.
 
 The coefficient dtype chooses the ring: complex128 (default), clongdouble
 or float64 for the numeric lanes, and object arrays for exact and
-high-precision work (Python ints, Fraction, Q(sqrt(-15)) or mpmath
-numbers).  Every operation runs the same code on every dtype; products
-multiply only the nonzero coefficients of each factor.
+high-precision work (Python ints, Fraction or mpmath numbers).  Every
+operation runs the same code on every dtype; products multiply only the
+nonzero coefficients of each factor.
 
 eval_forms is the one batch evaluator: it evaluates any number of forms
 at the same points in one pass, sharing the power table and the monomial
@@ -177,9 +177,9 @@ class HPoly:
         """Value at one point.
 
         A numeric point with numeric coefficients is evaluated by numpy.
-        Otherwise (object coefficients or point: ints, Fraction,
-        Q(sqrt(-15)), mpmath) each coordinate's powers are built by
-        repeated multiplication, so the value stays in the inputs' ring.
+        Otherwise (object coefficients or point: ints, Fraction, mpmath)
+        each coordinate's powers are built by repeated multiplication, so
+        the value stays in the inputs' ring.
         """
         e = exps(self.degree)
         if self.is_object or not isinstance(x, np.ndarray) or x.dtype == object:

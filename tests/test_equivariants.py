@@ -1,10 +1,15 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from valentiner.equivariants import (build_h19_exact, conic_points,
+from valentiner.equivariants import (A6_BARRED, A6_UNBARRED, _conic_condition_rows,
+                                     _integer_nullspace, _nontrivial_member, _solve2,
+                                     build_h19_exact, conic_points,
                                      frame_determinant_ratio, h19_exact,
                                      verify_h19)
 from valentiner.hpoly import divide_exact, identity_times, jacobian_det
@@ -133,3 +138,100 @@ def test_conic_points_helper(reg, rng):
     c = reg.inv.conics_barred[2]
     pts = conic_points(c, 10, rng)
     assert max(abs(c.eval(p)) for p in pts) < 1e-9 * c.supnorm()
+
+
+def _rref_nullspace(rows, ncols):
+    """Oracle: the nullspace basis read off the RREF over Fraction."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        p = m[r][c]
+        m[r] = [v / p for v in m[r]]
+        for i in range(len(m)):
+            fac = m[i][c]
+            if i != r and fac:
+                m[i] = [a - fac * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def _tall_integer_matrices(draw):
+    """More rows than columns, of any rank (a product of rank-k factors),
+    with some columns zeroed; factor entries of 2 or 40 bits, so products
+    reach about 80 bits like the mirror-line rows."""
+    ncols = draw(st.integers(1, 7))
+    nrows = draw(st.integers(ncols + 1, ncols + 8))
+    rank = draw(st.integers(0, ncols))
+    bits = draw(st.sampled_from([2, 40]))
+    entry = st.integers(-(1 << bits), 1 << bits)
+    left = draw(st.lists(st.lists(entry, min_size=rank, max_size=rank),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                          min_size=rank, max_size=rank))
+    zero = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    rows = [[0 if c in zero else sum(x * y[c] for x, y in zip(row, right)) for c in range(ncols)]
+            for row in left]
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tall_integer_matrices())
+def test_integer_nullspace_matches_rref(case):
+    rows, ncols = case
+    basis = _integer_nullspace(rows, ncols)
+    assert basis == _rref_nullspace(rows, ncols)
+    assert all(type(x) is Fraction for v in basis for x in v)
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for v in basis for row in rows)
+
+
+def test_mirror_line_nullspace_matches_rref():
+    from valentiner.equivariants import _exact_basis_64, _restrict_line, _vanishing_family
+
+    cols = [np.concatenate([_restrict_line(c) for c in b]) for b in _exact_basis_64()]
+    rows = [row for row in zip(*cols) if any(row)]
+    assert _vanishing_family()[1] == _rref_nullspace(rows, len(cols))
+
+
+def test_conic_conditions_solve_to_1620():
+    f, phi = exact_chain()[:2]
+    g = _nontrivial_member()[0]
+    barred = _conic_condition_rows(g, f, phi, A6_BARRED, (1, 2, 3))
+    unbarred = _conic_condition_rows(g, f, phi, A6_UNBARRED, (1, 2, 3))
+    # g and F have integer coefficients, so the conjugate conic's rows are conjugate
+    assert unbarred == [tuple((x, -y) for x, y in row) for row in barred]
+    for rows in (barred, unbarred):
+        # one conic gives a rank-one system, and (u, v) = (1620, 0) solves it
+        assert _solve2(rows) is None
+        assert all(a[0] * 1620 == c[0] and a[1] * 1620 == c[1] for a, _, c in rows)
+    assert _solve2(barred + unbarred) == ((1620, 0), (0, 0))
+
+
+def test_h19_builds_without_package_data(monkeypatch):
+    with resources.files("valentiner.data").joinpath("h19_printed.json").open() as f:
+        printed = json.load(f)
+    files = resources.files
+
+    def no_data(package):
+        if getattr(package, "__name__", package) == "valentiner.data":
+            raise AssertionError("the h19 construction read package data")
+        return files(package)
+
+    monkeypatch.setattr(resources, "files", no_data)
+    h19, f19 = build_h19_exact()
+    for i in range(3):
+        ref = {tuple(int(v) for v in k.split(",")): val for k, val in printed[i].items()}
+        assert h19[i].terms() == ref
+        assert f19[i].terms() == h19_exact()[1][i].terms()
