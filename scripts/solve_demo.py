@@ -45,8 +45,7 @@ def main():
     match = float(np.min(np.abs(roots - result.root)) / scale)
     print(f"root from iteration: {result.root:.12f}")
     print(f"resolvent residual:  {result.residual:.3e}")
-    print(f"iterations {result.iterations}, restarts {result.restarts_used}, "
-          f"strict two-cycle: {result.strict_cycle}")
+    print(f"iterations {result.iterations}, restarts {result.restarts_used}")
     print(f"distance to nearest closed-form root (scaled): {match:.3e}")
 
 

@@ -129,11 +129,11 @@ def render_conic(reg, catalog, resolution=180, max_iter=200, extent=2.0):
                      iters.reshape(resolution, resolution), 6)
 
 
-def render_line45(reg, catalog, resolution=180, max_iter=60, extent=2.0):
+def render_line45(catalog, resolution=180, max_iter=60, extent=2.0):
     """Basins of the degree-15 restricted map on a mirror line (complex chart)."""
     from .slices import restricted_psi16
 
-    lm = restricted_psi16(reg, catalog)
+    lm = restricted_psi16(catalog)
     xs = np.linspace(-extent, extent, resolution)
     u1, u2 = np.meshgrid(xs, xs)
     u = (u1 + 1j * u2).ravel()
@@ -141,7 +141,7 @@ def render_line45(reg, catalog, resolution=180, max_iter=60, extent=2.0):
     iters = np.zeros(len(u), dtype=np.uint16)
     live = np.arange(len(u))
     for k in range(max_iter):
-        u = np.polyval(lm.num, u) / np.polyval(lm.den, u)
+        u = lm(u)
         bad = ~np.isfinite(u)
         if np.any(bad):
             u[bad] = 1e30
@@ -174,7 +174,7 @@ def render_basins(slice_id, reg=None, catalog=None, resolution=180, max_iter=Non
     if slice_id == "conic":
         return render_conic(reg, catalog, resolution, max_iter or 200, extent)
     if slice_id == "line45":
-        return render_line45(reg, catalog, resolution, max_iter or 60, extent)
+        return render_line45(catalog, resolution, max_iter or 60, extent)
     raise ValueError(slice_id)
 
 

@@ -22,9 +22,11 @@ from .resolvents import _invariant_chain, eval_monic
 
 
 NEWTON_MAX_STEPS = 16
-# map steps per restart, the certificate bound on |F|/sup|F| and |Phi|/sup|Phi|
-# (also the solve's residual gate), and restarts per solve
+# map steps per restart, the Fubini-Study distance fs(w_k, w_{k-2}) at which a
+# trajectory counts as settled on a cycle, the certificate bound on |F|/sup|F|
+# and |Phi|/sup|Phi| (also the solve's residual gate), and restarts per solve
 MAX_ITERATIONS = 500
+CYCLE_TOLERANCE = 1e-9
 CERTIFICATE_TOLERANCE = 1e-7
 RESTARTS = 8
 # Newton steps and the |F|, |Phi| (over their sup norms) at which polish_72point stops
@@ -62,7 +64,6 @@ def _newton_root(coeffs, u):
 
 @dataclass
 class IterationConfig:
-    cycle_tolerance: float = 1e-9
     seed: int = 0
 
 
@@ -76,10 +77,6 @@ class RootResult:
     iterations: int
     restarts_used: int
     converged: bool = True
-    # the pair is two consecutive iterates, both certified on the 72-point
-    # locus; h maps that orbit onto itself in two-cycles, so every result
-    # of solve_resolvent carries True (kept for the JSON schema)
-    strict_cycle: bool = True
 
     def to_json_dict(self):
         return {
@@ -91,28 +88,7 @@ class RootResult:
             "iterations": self.iterations,
             "restarts_used": self.restarts_used,
             "converged": self.converged,
-            "strict_cycle": self.strict_cycle,
         }
-
-
-def iterate_to_cycle(emap, w0, cfg=IterationConfig()):
-    """Iterate to a period-2 cycle; returns (pair, iterations) or (None, n).
-
-    Fixed points come back as a degenerate pair.  Each step renormalizes
-    to unit norm, without which a degree-19 map overflows in a few steps.
-    """
-    w = normalize_point(np.asarray(w0, dtype=complex))
-    prev = [w]
-    for k in range(MAX_ITERATIONS):
-        w = emap(prev[-1])
-        nrm = np.linalg.norm(w)
-        if not np.isfinite(nrm) or nrm == 0:
-            return None, k
-        w = w / nrm
-        prev.append(w)
-        if len(prev) >= 3 and fs_distance(prev[-1], prev[-3]) < cfg.cycle_tolerance:
-            return (normalize_point(prev[-3]), normalize_point(prev[-2])), k + 1
-    return None, MAX_ITERATIONS
 
 
 def polish_72point(fam, w):
@@ -153,7 +129,7 @@ def polish_72point(fam, w):
     return normalize_point(w + ab[0] * u + ab[1] * v)
 
 
-def certified_cycle(fam, w0, cfg):
+def certified_cycle(fam, w0):
     """Iterate to the attractor and return the first certified pair.
 
     The first consecutive pair (w_{k-1}, w_k) whose points both certify on
@@ -162,11 +138,11 @@ def certified_cycle(fam, w0, cfg):
     itself lands the trajectory on the locus to machine precision.  Each
     new point is certified once.  A restart ends at a fixed point (a
     certified pair closer than 1e-8), at a cycle settled off the locus
-    (fs(w_k, w_{k-2}) < cycle_tolerance without a certified pair), at a
+    (fs(w_k, w_{k-2}) < CYCLE_TOLERANCE without a certified pair), at a
     non-finite image (the family map's denominator X vanishes on the 45
     mirror lines) or after MAX_ITERATIONS steps.
 
-    Returns (pair, iterations, True) or (None, iterations, False).
+    Returns (pair, iterations), with pair None when no pair certified.
     """
     w = normalize_point(np.asarray(w0, dtype=complex))
     prev = [w]
@@ -183,11 +159,11 @@ def certified_cycle(fam, w0, cfg):
         if max(cert, cert_prev) < CERTIFICATE_TOLERANCE:
             if fs_distance(prev[-2], w) < 1e-8:
                 break  # a fixed point, not a two-cycle
-            return (normalize_point(prev[-2]), normalize_point(w)), k + 1, True
-        if len(prev) == 3 and fs_distance(w, prev[0]) < cfg.cycle_tolerance:
+            return (normalize_point(prev[-2]), normalize_point(w)), k + 1
+        if len(prev) == 3 and fs_distance(w, prev[0]) < CYCLE_TOLERANCE:
             break  # settled on a cycle off the invariant locus
         cert_prev = cert
-    return None, k + 1, False
+    return None, k + 1
 
 
 def solve_resolvent(params, case="general", cfg=None, selector_table=None):
@@ -210,7 +186,7 @@ def solve_resolvent(params, case="general", cfg=None, selector_table=None):
     best = None
     for attempt in range(RESTARTS):
         w0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        pair, iters, _ = certified_cycle(fam, w0, cfg)
+        pair, iters = certified_cycle(fam, w0)
         if pair is None:
             continue
         result, gate = _rooted_result(table, gamma_coeffs, fam, pair, coeffs, cscale, case,

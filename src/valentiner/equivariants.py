@@ -33,7 +33,7 @@ from .context import CTX64
 from .errors import VanishingFailure
 from .frames import bub_frame
 from .hpoly import (EquivariantMap, HPoly, det3, divide_exact, eval_forms, exps, identity_times,
-                    monomial_index)
+                    monomial_index, restrict_line)
 from .invariants import exact_chain
 
 
@@ -56,13 +56,6 @@ def _exact_basis_64():
         assert all(comp.degree == 64 for comp in bmap)
         basis.append(bmap)
     return basis
-
-
-def _restrict_line(p):
-    """Coefficients of p(t, t, s), indexed by the power of s."""
-    out = np.zeros(p.degree + 1, dtype=object)
-    np.add.at(out, exps(p.degree)[:, 2], p.coeffs)
-    return out
 
 
 def _integer_nullspace(rows, ncols):
@@ -105,7 +98,7 @@ def _vanishing_family():
     """Exact coefficient vectors of 64-maps vanishing on the mirror lines."""
     basis = _exact_basis_64()
     # one row per (component, power of s) of the restriction, one column per basis map
-    cols = [np.concatenate([_restrict_line(comp) for comp in bmap]) for bmap in basis]
+    cols = [np.concatenate([restrict_line(comp) for comp in bmap]) for bmap in basis]
     rows = [row for row in zip(*cols) if any(row)]
     null = _integer_nullspace(rows, len(basis))
     if len(null) != 3:

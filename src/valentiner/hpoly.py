@@ -314,6 +314,17 @@ def divide_exact(n, d):
     return q
 
 
+def restrict_line(p):
+    """Coefficients of p(1, 1, s), indexed by the power of s.
+
+    This is p on the mirror line y1 = y2, where p(t, t, s) has coefficient
+    t^(d - k) on s^k; the coefficients stay in p's ring.
+    """
+    out = np.zeros(p.degree + 1, dtype=p.coeffs.dtype)
+    np.add.at(out, exps(p.degree)[:, 2], p.coeffs)
+    return out
+
+
 def det3(rows):
     """Determinant of a 3x3 matrix of HPoly entries or scalars."""
     a, b, c = rows[0]
@@ -425,10 +436,6 @@ class EquivariantMap:
 
     def jacobian_det(self):
         return det3(self.jacobian_matrix())
-
-    def jacobian_at(self, x):
-        x = np.asarray(x, dtype=complex)
-        return np.array([[self.components[r].diff(c).eval(x) for c in range(3)] for r in range(3)])
 
     def to_json_dict(self):
         return {"degree": self.degree, "components": [c.to_json_dict() for c in self.components]}

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartSingularity
+from .hpoly import restrict_line
 from .projective import fs_distance
 
 
@@ -176,107 +177,45 @@ def conic_slice(reg, catalog):
 
 # --- restricted degree-15 map on a mirror line ------------------------------------
 
+SQRT2 = np.sqrt(2.0)
+
+
 @dataclass
 class Line45Map:
-    base: np.ndarray            # point a on the line
-    direction: np.ndarray       # direction b: x(u) = a + u b
-    num: np.ndarray             # polynomial coefficients of the direction part
-    den: np.ndarray             # polynomial coefficients of the base part
-    fixed_points: np.ndarray    # u-coordinates of the four 45-points
+    f1: np.ndarray              # integer coefficients of f1(s), highest power first
+    g: np.ndarray               # integer coefficients of g(s), highest power first
+    fixed_points: np.ndarray    # u-coordinates of the four 45-points on the line
     degree: int
 
     def __call__(self, u):
-        return np.polyval(self.num, u) / np.polyval(self.den, u)
+        s = SQRT2 * u
+        return np.polyval(self.g, s) / (SQRT2 * np.polyval(self.f1, s))
 
 
-def restricted_psi16(reg, catalog):
-    """The induced self-map of a mirror line under the degree-16 map.
+def restricted_psi16(catalog):
+    """The induced self-map of the mirror line y1 = y2 under the degree-16 map.
 
-    For x on the line, the Jacobian of the degree-16 map sends a
-    transverse direction to a line through the companion fixed point;
-    applying the Jacobian at that point gives a point of the mirror line
-    again.  In an affine chart the induced map is the ratio of two
-    degree-16 polynomials with a common linear factor: degree 15.
+    n = [1, -1, 0] is both the line's normal and its 45-point.  For x on
+    the line, the Jacobian J(x) of the degree-16 map sends the transverse
+    direction n to J(x) n, and J(n) brings that back onto the mirror line.
+    All of it is integral: psi16 has integer coefficients, J(n) is an
+    integer matrix, and on x = [1, 1, s] the image J(n) J(x) n is
+    [f1(s), f1(s), g(s)] with integer polynomials f1 and g of degree 15
+    and no common root, so nothing cancels.  In the chart
+    x(u) = [1, 1, sqrt(2) u] the map is u -> g(s) / (sqrt(2) f1(s)) at
+    s = sqrt(2) u.  The coefficients have at most 42 bits, so they are
+    exact in binary64.
     """
-    psi = reg.psi16
-    # the mirror line y1 = y2
-    want = np.array([1.0, -1.0, 0]) / np.sqrt(2)
-    line_index = int(np.argmin([fs_distance(ell, want) for ell in catalog.line45]))
-    ell = catalog.line45[line_index]
-    p_z = catalog.orbit45[line_index]
-    # a real basis of the line
-    b1, b2 = _line_basis(ell)
-    jz = psi.jacobian_at(p_z)
-    n0 = np.asarray(ell, dtype=complex)  # transverse direction: the line's normal
-    us = 1.4 * np.exp(2j * np.pi * np.arange(40) / 40) + 0.2
+    from .invariants import exact_chain
 
-    def apply(u):
-        x = b1 + u * b2
-        v = psi.jacobian_at(x) @ n0
-        f = jz @ v
-        coef, *_ = np.linalg.lstsq(np.stack([b1, b2], axis=1), f, rcond=None)
-        return coef
-
-    vals = np.array([apply(u) for u in us])
-    vander = np.vander(us, 17, increasing=False)
-    den_c, *_ = np.linalg.lstsq(vander, vals[:, 0], rcond=None)
-    num_c, *_ = np.linalg.lstsq(vander, vals[:, 1], rcond=None)
-    num_c, den_c, deg = _reduce_common_roots(num_c, den_c)
-    # the four 45-points on the line are the fixed points
-    fps = []
-    for p in catalog.orbit45:
-        if abs(np.asarray(ell) @ np.asarray(p)) < 1e-8:
-            coef, *_ = np.linalg.lstsq(np.stack([b1, b2], axis=1), np.asarray(p, dtype=complex), rcond=None)
-            if abs(coef[0]) < 1e-10:
-                continue  # the chart's point at infinity
-            fps.append(complex(coef[1] / coef[0]))
-    return Line45Map(b1, b2, num_c, den_c, np.array(fps), deg)
-
-
-def _line_basis(ell):
-    ell = np.asarray(ell, dtype=complex)
-    basis = []
-    for e in np.eye(3, dtype=complex):
-        v = e - (np.conj(ell) @ e) / (np.conj(ell) @ ell) * ell
-        for b in basis:
-            v = v - (np.conj(b) @ v) * b
-        n = np.linalg.norm(v)
-        if n > 0.3:
-            basis.append(v / n)
-        if len(basis) == 2:
-            break
-    return basis[0], basis[1]
-
-
-def _trim_leading(c):
-    scale = np.max(np.abs(c))
-    k = 0
-    while k < len(c) - 1 and abs(c[k]) < 1e-9 * scale:
-        k += 1
-    return c[k:]
-
-
-def _reduce_common_roots(num, den):
-    """Drop insignificant leading coefficients and matched root pairs."""
-    num = _trim_leading(num)
-    den = _trim_leading(den)
-    rn = np.roots(num)
-    rd = np.roots(den)
-    used = np.zeros(len(rd), dtype=bool)
-    keep_n = []
-    for r in rn:
-        hit = None
-        for j, rr in enumerate(rd):
-            if not used[j] and abs(r - rr) < 1e-5 * max(1.0, abs(r)):
-                hit = j
-                break
-        if hit is None:
-            keep_n.append(r)
-        else:
-            used[hit] = True
-    keep_d = [rr for j, rr in enumerate(rd) if not used[j]]
-    scale_n = num[0]
-    scale_d = den[0]
-    pn = scale_n * np.poly(keep_n) if keep_n else np.array([scale_n])
-    pd = scale_d * np.poly(keep_d) if keep_d else np.array([scale_d])
-    return pn, pd, max(len(pn), len(pd)) - 1
+    psi = exact_chain()[4].components
+    n = (1, -1, 0)
+    jn = [[c.diff(v).eval(n) for v in range(3)] for c in psi]
+    # J(x) n = (d/dx1 - d/dx2) psi16 on [1, 1, s], one coefficient row per component
+    jx_n = [restrict_line(c.diff(0) - c.diff(1)) for c in psi]
+    f = [sum(a * row for a, row in zip(r, jx_n)) for r in jn]
+    f1, g = (np.trim_zeros(f[k][::-1], "f").astype(float) for k in (0, 2))
+    # the four 45-points on the line are the attracting fixed points
+    fps = [p[2] / (SQRT2 * p[0]) for p in map(np.asarray, catalog.orbit45)
+           if abs(p[0] - p[1]) < 1e-8 * np.linalg.norm(p)]
+    return Line45Map(f1, g, np.array(fps, dtype=complex), max(len(f1), len(g)) - 1)

@@ -1,39 +1,31 @@
 import numpy as np
 import pytest
 
-from valentiner.dynamics import (IterationConfig, certified_cycle, iterate_to_cycle,
-                                 polish_72point, solve_resolvent)
+from valentiner.basins import _iterate_to_attractors
+from valentiner.dynamics import IterationConfig, certified_cycle, polish_72point, solve_resolvent
 from valentiner.projective import fs_distance, normalize_point, random_unit_points
+from valentiner.slices import _pair_labels
 
 
 def test_reference_map_cycles_from_72_point(reg):
-    pair, iters = iterate_to_cycle(reg.h19, np.array([1.0, 0, 0]), IterationConfig())
-    assert pair is not None and iters <= 3
-    a, b = pair
-    assert (fs_distance(a, [1.0, 0, 0]) < 1e-10 and fs_distance(b, [0, 1.0, 0]) < 1e-10) or \
-           (fs_distance(a, [0, 1.0, 0]) < 1e-10 and fs_distance(b, [1.0, 0, 0]) < 1e-10)
+    e1, e2 = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
+    assert fs_distance(reg.h19(e1), e2) < 1e-10
+    assert fs_distance(reg.h19(e2), e1) < 1e-10
 
 
 def test_fixed_36_point_degenerate_cycle(reg):
-    pair, _ = iterate_to_cycle(reg.h19, np.array([0, 0, 1.0]), IterationConfig())
-    assert pair is not None
-    assert fs_distance(pair[0], pair[1]) < 1e-10
-    assert fs_distance(pair[0], [0, 0, 1.0]) < 1e-10
+    e3 = np.array([0, 0, 1.0])
+    assert fs_distance(reg.h19(e3), e3) < 1e-10
 
 
-def test_random_starts_converge_to_certified_72_cycles(reg, inv, rng):
-    fsup, psup = inv.F.supnorm(), inv.Phi.supnorm()
-    converged = 0
-    for _ in range(10):
-        w0 = normalize_point(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        pair, iters = iterate_to_cycle(reg.h19, w0, IterationConfig(cycle_tolerance=1e-12))
-        if pair is None:
-            continue
-        converged += 1
-        for p in pair:
-            assert abs(inv.F.eval(p)) < 1e-7 * fsup
-            assert abs(inv.Phi.eval(p)) < 1e-7 * psup
-    assert converged >= 9
+def test_random_starts_converge_to_certified_72_cycles(reg, catalog):
+    # every start lands in the capture disc of a 72-point, and every one of
+    # the 36 period-2 pairs attracts some of them
+    pts = random_unit_points(np.random.default_rng(2026), 500)
+    orbit72 = np.asarray(catalog.orbit72)
+    labels, _ = _iterate_to_attractors(reg.h19, pts, orbit72, _pair_labels(reg, orbit72), 200)
+    assert np.all(labels >= 0)
+    assert set(labels.tolist()) == set(range(36))
 
 
 def test_trajectory_equivariance(reg, group_bub, rng):
@@ -73,9 +65,7 @@ def test_polish_is_local(reg, inv, rng):
     fam = instantiate_family((0.8 + 0.4j, 0.9 - 0.2j), "general")
     pair = None
     for _ in range(12):
-        pair, iters, strict = certified_cycle(
-            fam, rng.standard_normal(3) + 1j * rng.standard_normal(3),
-            IterationConfig(seed=1))
+        pair, iters = certified_cycle(fam, rng.standard_normal(3) + 1j * rng.standard_normal(3))
         if pair is not None:
             break
     assert pair is not None

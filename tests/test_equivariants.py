@@ -12,7 +12,7 @@ from valentiner.equivariants import (A6_BARRED, A6_UNBARRED, _conic_condition_ro
                                      build_h19_exact, conic_points,
                                      frame_determinant_ratio, h19_exact,
                                      verify_h19)
-from valentiner.hpoly import divide_exact, identity_times, jacobian_det
+from valentiner.hpoly import divide_exact, identity_times, jacobian_det, restrict_line
 from valentiner.invariants import _g48_from, exact_chain
 from valentiner.projective import fs_distance, normalize_point, random_unit_points
 
@@ -198,9 +198,9 @@ def test_integer_nullspace_matches_rref(case):
 
 
 def test_mirror_line_nullspace_matches_rref():
-    from valentiner.equivariants import _exact_basis_64, _restrict_line, _vanishing_family
+    from valentiner.equivariants import _exact_basis_64, _vanishing_family
 
-    cols = [np.concatenate([_restrict_line(c) for c in b]) for b in _exact_basis_64()]
+    cols = [np.concatenate([restrict_line(c) for c in b]) for b in _exact_basis_64()]
     rows = [row for row in zip(*cols) if any(row)]
     assert _vanishing_family()[1] == _rref_nullspace(rows, len(cols))
 

@@ -164,12 +164,11 @@ def test_family_general_conjugacy(reg, inv, rng):
 
 
 def _cycle_points(fam):
-    from valentiner.dynamics import IterationConfig, certified_cycle
+    from valentiner.dynamics import certified_cycle
 
     rng = np.random.default_rng(3)
     for _ in range(8):
-        pair, _, _ = certified_cycle(fam, rng.standard_normal(3) + 1j * rng.standard_normal(3),
-                                     IterationConfig())
+        pair, _ = certified_cycle(fam, rng.standard_normal(3) + 1j * rng.standard_normal(3))
         if pair is not None:
             return [np.array(p) for p in pair]
     raise AssertionError("no certified cycle")

