@@ -18,8 +18,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--case", choices=["general", "special"], default="general")
     args = ap.parse_args()
-    reg = registry()
-    inv = reg.inv
+    inv = registry().inv
     rng = np.random.default_rng(args.seed)
     if args.case == "general":
         while True:
@@ -33,7 +32,7 @@ def main():
         print(f"parameters: Y1 = {y1:.6f}, Y2 = {y2:.6f}")
     else:
         while True:
-            z = curve_point(rng, inv, reg)
+            z = curve_point(rng, inv)
             v = quotient_v(inv, z)
             if 0.25 < abs(v) < 3.0 and abs(v - 1) > 0.15:
                 break

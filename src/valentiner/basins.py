@@ -50,6 +50,7 @@ class BasinGrid:
         }
 
 
+MAX_ITER = 200            # iteration budget of every slice
 _MATCH_TOL = 1e-6         # Fubini-Study radius of an attractor's capture disc
 _CELL_BLOCK = 65536
 
@@ -94,7 +95,7 @@ def _iterate_to_attractors(emap, pts, attractors, pair_label, max_iter):
     return labels, iters
 
 
-def render_rp2(reg, catalog, resolution=180, max_iter=200, extent=2.0, cell_transform=None):
+def render_rp2(reg, catalog, resolution=180, max_iter=MAX_ITER, extent=2.0, cell_transform=None):
     """Basins of the canonical degree-19 map on the real conic-swap plane."""
     from .slices import rp2_chart
 
@@ -113,7 +114,7 @@ def render_rp2(reg, catalog, resolution=180, max_iter=200, extent=2.0, cell_tran
                      iters.reshape(resolution, resolution), 5)
 
 
-def render_conic(reg, catalog, resolution=180, max_iter=200, extent=2.0):
+def render_conic(reg, catalog, resolution=180, max_iter=MAX_ITER, extent=2.0):
     """Basins of the restricted map on the first barred conic, in the
     rational-parametrization chart."""
     from .slices import conic_slice
@@ -129,7 +130,7 @@ def render_conic(reg, catalog, resolution=180, max_iter=200, extent=2.0):
                      iters.reshape(resolution, resolution), 6)
 
 
-def render_line45(catalog, resolution=180, max_iter=60, extent=2.0):
+def render_line45(catalog, resolution=180, max_iter=MAX_ITER, extent=2.0):
     """Basins of the degree-15 restricted map on a mirror line (complex chart)."""
     from .slices import restricted_psi16
 
@@ -159,7 +160,7 @@ def render_line45(catalog, resolution=180, max_iter=60, extent=2.0):
                      iters.reshape(resolution, resolution), len(lm.fixed_points))
 
 
-def render_basins(slice_id, reg=None, catalog=None, resolution=180, max_iter=None, extent=2.0):
+def render_basins(slice_id, reg=None, catalog=None, resolution=180, max_iter=MAX_ITER, extent=2.0):
     from .equivariants import registry as _registry
 
     reg = reg or _registry()
@@ -170,11 +171,11 @@ def render_basins(slice_id, reg=None, catalog=None, resolution=180, max_iter=Non
 
         catalog = special_orbits(enumerate_group().conjugate_to_frame(bub_frame()), reg.inv)
     if slice_id == "rp2":
-        return render_rp2(reg, catalog, resolution, max_iter or 200, extent)
+        return render_rp2(reg, catalog, resolution, max_iter, extent)
     if slice_id == "conic":
-        return render_conic(reg, catalog, resolution, max_iter or 200, extent)
+        return render_conic(reg, catalog, resolution, max_iter, extent)
     if slice_id == "line45":
-        return render_line45(catalog, resolution, max_iter or 60, extent)
+        return render_line45(catalog, resolution, max_iter, extent)
     raise ValueError(slice_id)
 
 
@@ -189,7 +190,7 @@ def d5_symmetry_mismatch(grid, reg, catalog):
     """
     ang = 2 * np.pi / 5
     rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-    rotated = render_rp2(reg, catalog, grid.resolution, 300, grid.extent,
+    rotated = render_rp2(reg, catalog, grid.resolution, MAX_ITER, grid.extent,
                          cell_transform=rot)
     src = grid.labels
     dst = rotated.labels

@@ -158,8 +158,7 @@ def cmd_sample_resolvent(args):
                              oracle_roots_special, quotient_v, quotient_y,
                              resolvent_ry, resolvent_tv)
 
-    reg = registry()
-    inv = reg.inv
+    inv = registry().inv
     rng = np.random.default_rng(args.seed)
     if args.case == "general":
         while True:
@@ -172,7 +171,7 @@ def cmd_sample_resolvent(args):
         payload = {"case": "general", "z": [_jsonify(complex(c)) for c in z],
                    "Y1": _jsonify(complex(y1)), "Y2": _jsonify(complex(y2))}
     else:
-        z = curve_point(rng, inv, reg)
+        z = curve_point(rng, inv)
         v = quotient_v(inv, z)
         roots = oracle_roots_special(inv, z)
         coeffs = resolvent_tv(v)
@@ -190,12 +189,11 @@ def cmd_fit_selectors(args):
     from .selectors import default_cache_dir, fit_selectors
     from pathlib import Path
 
-    dps = 50 if args.precision == "high" else 30
     cache = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     cache.mkdir(parents=True, exist_ok=True)
     out = {}
     for case in (args.case,) if args.case else ("general", "special"):
-        table = fit_selectors(case, dps=dps, progress=lambda s: print(f"[{case}] {s}", file=sys.stderr))
+        table = fit_selectors(case, progress=lambda s: print(f"[{case}] {s}", file=sys.stderr))
         with open(cache / f"selector_{case}.json", "w") as f:
             json.dump(table.to_json_dict(), f)
         out[case] = {"fit_residual": table.fit_residual,
@@ -234,6 +232,8 @@ def cmd_basins(args):
 
 
 def build_parser():
+    from .basins import MAX_ITER
+
     ap = argparse.ArgumentParser(prog="valentiner",
                                  description="Valentiner action on CP^2: invariants, "
                                              "equivariant dynamics, sextic resolvent solving")
@@ -259,7 +259,6 @@ def build_parser():
     p.add_argument("--out")
 
     p = sub.add_parser("fit-selectors", help="fit and cache the root-selector tables")
-    p.add_argument("--precision", choices=["std", "high"], default="high")
     p.add_argument("--case", choices=["general", "special"])
     p.add_argument("--cache-dir")
     p.add_argument("--out")
@@ -280,7 +279,7 @@ def build_parser():
     p = sub.add_parser("basins", help="render a basin grid to PPM")
     p.add_argument("--slice", choices=["rp2", "conic", "line45"], required=True)
     p.add_argument("--res", type=int, default=720)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER)
     p.add_argument("--out", dest="out_ppm", required=True, metavar="FILE.ppm")
     p.add_argument("--json")
     return ap

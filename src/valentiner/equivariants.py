@@ -23,6 +23,7 @@ against the published table, and any disagreements are reported rather
 than silently adopted.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -248,14 +249,9 @@ def build_h19_exact():
     return h19, f19
 
 
-_H19_CACHE = None
-
-
+@functools.cache
 def h19_exact():
-    global _H19_CACHE
-    if _H19_CACHE is None:
-        _H19_CACHE = build_h19_exact()
-    return _H19_CACHE
+    return build_h19_exact()
 
 
 class EquivariantRegistry:
@@ -277,14 +273,9 @@ class EquivariantRegistry:
         return self.h19 + identity_times(s)
 
 
-_REGISTRY = None
-
-
+@functools.cache
 def registry():
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = EquivariantRegistry()
-    return _REGISTRY
+    return EquivariantRegistry()
 
 
 # --- the degree-25 companion map ----------------------------------------------

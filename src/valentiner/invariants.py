@@ -13,6 +13,7 @@ frame gets its degree-6 form by linear substitution and rebuilds the
 chain through the same determinants in complex128.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,7 +57,8 @@ def _integral(p, alpha):
     return HPoly(p.degree, np.array([int(v) for v in c], dtype=object))
 
 
-def _exact_chain():
+@functools.cache
+def exact_chain():
     """Integer tables of F, Phi, Psi, X and the three cross maps."""
     f = HPoly.from_terms(6, F_BUB_TERMS, dtype=object)
     phi = _integral(hessian_det(f), ALPHA_PHI)
@@ -68,16 +70,6 @@ def _exact_chain():
     if x45_t.get((45, 0, 0)) != 1 or x45_t.get((0, 5, 40)) != 3570467226624:
         raise NormalizationFailure("degree-45 anchors broken")
     return f, phi, psi, x45, grad_cross(f, phi), grad_cross(f, psi), grad_cross(phi, psi)
-
-
-_CHAIN = None
-
-
-def exact_chain():
-    global _CHAIN
-    if _CHAIN is None:
-        _CHAIN = _exact_chain()
-    return _CHAIN
 
 
 @dataclass
@@ -235,20 +227,18 @@ def verify_relations(inv, n_points=200, seed=0, rel_tol=1e-7):
 
     # (e) the degree-48 critical factor meets the sextic curve only at the
     # 72-point orbit
-    from .equivariants import registry as _registry
     from .resolvents import curve_point
 
-    reg = _registry()
     rng2 = np.random.default_rng(seed + 1)
     # on {F = 0} the degree-48 factor reduces to its pure Phi^4 term, so its
     # zeros there are exactly the zeros of Phi: the 72-point orbit
     worst_rel = 0.0
     for _ in range(20):
-        z = curve_point(rng2, inv, reg)
+        z = curve_point(rng2, inv)
         lhs = inv.G48.eval(z)
         rhs = G48_SCALE * G48_TABLE[(0, 4)] * inv.Phi.eval(z) ** 4
         worst_rel = max(worst_rel, abs(lhs - rhs) / abs(rhs))
-    worst_on = max(abs(inv.G48.eval(np.asarray(p))) for p in _orbit72_points(inv))
+    worst_on = max(abs(inv.G48.eval(np.asarray(p))) for p in _orbit72_points())
     ok = worst_rel < 1e-6 and worst_on < 1e-8
     report["identities"].append({
         "identity": "{F=0} cap {G48=0} within the 72-point orbit",
@@ -259,6 +249,6 @@ def verify_relations(inv, n_points=200, seed=0, rel_tol=1e-7):
     return report
 
 
-def _orbit72_points(inv):
+def _orbit72_points():
     # the two reference cycle points plus images are enough as a spot check
     return [np.array([1.0, 0, 0]), np.array([0, 1.0, 0])]

@@ -34,6 +34,7 @@ What is built how often:
   the order-2 and order-3 jets and the terms Psi needs.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -256,22 +257,14 @@ def _dense_table(raw):
     return keys, dense
 
 
-_FY = None
-_FV = None
-
-
+@functools.cache
 def fy_table():
-    global _FY
-    if _FY is None:
-        _FY = _dense_table(_load_table("fy_table.json"))
-    return _FY
+    return _dense_table(_load_table("fy_table.json"))
 
 
+@functools.cache
 def fv_table():
-    global _FV
-    if _FV is None:
-        _FV = _dense_table(_load_table("fv_table.json"))
-    return _FV
+    return _dense_table(_load_table("fv_table.json"))
 
 
 def _f6(table, params):
@@ -570,7 +563,7 @@ def frame_determinant_checks(seed=0, n=50):
 
     worst_sig = worst_sq = worst_x2 = 0.0
     for k in range(n):
-        z = curve_point(rng, inv, reg)
+        z = curve_point(rng, inv)
         v = quotient_v(inv, z)
         phi = inv.Phi.eval(z)
         psi = inv.Psi.eval(z)
@@ -589,7 +582,7 @@ def frame_determinant_checks(seed=0, n=50):
     return items
 
 
-def curve_point(rng, inv=None, reg=None):
+def curve_point(rng, inv=None):
     """A random point on {F = 0}, polished along a pencil through the 72-point e1."""
     inv = inv or registry().inv
     grad = inv.F.grad()

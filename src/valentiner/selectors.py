@@ -52,6 +52,11 @@ ANCHOR_GENERAL_TRAIL = {"monomial": (0, 0, 10), "y": (1, 8)}      # 663552 (3 + 
 ANCHOR_SPECIAL_LEAD = {"monomial": (0, 10, 0), "v": 0}            # 1944 w2^10
 ANCHOR_SPECIAL_TRAIL = {"monomial": (10, 0, 0), "v": 8}           # w1^10 V^8
 
+# the fit's working digits and the seed of its sample points: the shipped
+# tables were fitted with these
+FIT_DPS = 70
+FIT_SEED = 1234
+
 
 @dataclass
 class SelectorTable:
@@ -265,8 +270,7 @@ def _sample_points(case, n, seed):
     from .equivariants import registry
     from .resolvents import curve_point, quotient_v, quotient_y
 
-    reg = registry()
-    inv = reg.inv
+    inv = registry().inv
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
@@ -281,7 +285,7 @@ def _sample_points(case, n, seed):
                 out.append(z)
         else:
             try:
-                z = curve_point(rng, inv, reg)
+                z = curve_point(rng, inv)
                 v = quotient_v(inv, z)
             except (ValentinerError, np.linalg.LinAlgError):
                 continue
@@ -290,16 +294,15 @@ def _sample_points(case, n, seed):
     return out
 
 
-def fit_selectors(case="general", dps=70, n_samples=None, seed=1234, progress=None):
-    """Fit the selector coefficient table in extended precision (one-time batch)."""
+def fit_selectors(case="general", progress=None):
+    """Fit the selector coefficient table at FIT_DPS digits (one-time batch)."""
     import mpmath
 
     basis = GENERAL_Y_MONOMIALS if case == "general" else SPECIAL_V_POWERS
     nb = len(basis)
-    n = n_samples or (2 * nb + 40 if case == "general" else 42)
-    zs = _sample_points(case, n, seed)
-    with mpmath.workdps(dps):
-        setup = _mp_setup(dps)
+    zs = _sample_points(case, 2 * nb + 40 if case == "general" else 42, FIT_SEED)
+    with mpmath.workdps(FIT_DPS):
+        setup = _mp_setup(FIT_DPS)
         rows, targets, params_list = [], [], []
         for i, z in enumerate(zs):
             zmp = np.array([mpmath.mpc(c) for c in z], dtype=object)
@@ -341,10 +344,10 @@ def fit_selectors(case="general", dps=70, n_samples=None, seed=1234, progress=No
             resid = max(resid, float(num / den))
             for j in range(nb):
                 coeffs[k, j] = sol[j]
-    # the fit runs at dps digits: a residual above half of them means some
-    # ingredient leaked in at binary64
-    if resid > 10.0 ** (-dps / 2):
-        raise FitResidualTooLarge(f"selector fit residual {resid:.3e} at dps {dps}")
+    # a residual above half of the fit's digits means some ingredient leaked
+    # in at binary64
+    if resid > 10.0 ** (-FIT_DPS / 2):
+        raise FitResidualTooLarge(f"selector fit residual {resid:.3e} at dps {FIT_DPS}")
     if progress:
         progress(f"fit residual {resid:.2e}; calibrating root constant")
     return _finalize_table(case, basis, coeffs, resid, zs)
@@ -438,11 +441,12 @@ def default_cache_dir():
     return Path(".valentiner_cache")
 
 
-def load_or_fit_selectors(case="general", cache_dir=None, dps=70, progress=None):
+def load_or_fit_selectors(case="general", cache_dir=None):
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
     path = cache_dir / f"selector_{case}.json"
     if path.exists():
-        return SelectorTable.from_json_dict(json.load(open(path)))
+        with open(path) as f:
+            return SelectorTable.from_json_dict(json.load(f))
     from importlib import resources
 
     try:
@@ -450,7 +454,7 @@ def load_or_fit_selectors(case="general", cache_dir=None, dps=70, progress=None)
             return SelectorTable.from_json_dict(json.load(f))
     except FileNotFoundError:
         pass
-    table = fit_selectors(case, dps=dps, progress=progress)
+    table = fit_selectors(case)
     cache_dir.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         json.dump(table.to_json_dict(), f)

@@ -14,25 +14,32 @@ from .projective import fs_distance
 
 # --- the real-plane chart -------------------------------------------------------
 
+# Columns: the one-point orbit [1, 1, 1] as the origin, and the directions
+# [4, -1, -1] and [0, -3, 1], which span its polar line y1 + y2 + 3 y3 = 0,
+# the line at infinity.  The origin's stabilizer then acts linearly, and
+# its five-fold element by exact rotations.  The scales put the ten real
+# 72-points on the unit circle, with [1, 0, 0] at (1, 0).
+RP2_BASIS = np.array([[1, 4, 0], [1, -1, -np.sqrt(15)], [1, -1, np.sqrt(15) / 3]]) / np.sqrt(3)
+
+
 @dataclass
 class RP2Chart:
-    basis: np.ndarray           # 3x3 real: [origin | u1 | u2], line {ell=0} at infinity
     attractors: np.ndarray      # (10, 2) chart positions of the real 72-points
     attractor_points: np.ndarray  # (10, 3) real unit vectors
     pair_label: np.ndarray      # (10,) int: label of the period-2 pair
 
     def to_point(self, t):
         t = np.asarray(t, dtype=float)
-        return self.basis @ np.array([1.0, t[0], t[1]])
+        return RP2_BASIS @ np.array([1.0, t[0], t[1]])
 
     def to_points(self, ts):
         ts = np.asarray(ts, dtype=float)
         ones = np.ones((len(ts), 1))
-        return np.concatenate([ones, ts], axis=1) @ self.basis.T
+        return np.concatenate([ones, ts], axis=1) @ RP2_BASIS.T
 
     def to_chart(self, p):
         """Chart coordinates of a real projective point (not at infinity)."""
-        c = np.linalg.solve(self.basis, np.asarray(p, dtype=float))
+        c = np.linalg.solve(RP2_BASIS, np.asarray(p, dtype=float))
         if abs(c[0]) < 1e-12 * np.max(np.abs(c)):
             raise ChartSingularity("point on the line at infinity")
         return c[1:] / c[0]
@@ -69,84 +76,14 @@ def _pair_labels(reg, pts):
 
 
 def rp2_chart(reg, catalog):
-    """Chart on the real plane fixed by the conic-system swap.
-
-    The one-point orbit [1,1,1] sits at the origin, its polar line at
-    infinity, the ten real 72-points on the unit circle, and the first of
-    them on the positive horizontal axis.  The chart is adapted to the
-    five-fold symmetry, which then acts by exact rotations.
-    """
-    from .group import generators_octahedral
-    from .frames import bub_frame
-
-    o = np.ones(3) / np.sqrt(3.0)
-    reals = []
-    for p in catalog.orbit72:
-        r = _real_representative(p)
-        if r is not None:
-            reals.append(r)
+    """Chart on the real plane fixed by the conic-system swap, in RP2_BASIS,
+    with the ten real 72-points as its attractors."""
+    reals = [r for r in map(_real_representative, catalog.orbit72) if r is not None]
     if len(reals) != 10:
         raise ChartSingularity(f"expected 10 real 72-points, found {len(reals)}")
-    # line at infinity: the polar line of the origin point, i.e. the line
-    # through the two non-real five-fold points of its triangle.  The chart
-    # action of the origin's stabilizer is honestly linear only with this
-    # choice.
-    eta = (3 + np.sqrt(15) * 1j) / 4
-    p1 = np.array([3, 2 * eta ** 2, -eta])
-    p2 = np.conj(p1)
-    ell = np.cross(p1, p2)
-    ell = (ell / 1j).real if np.max(np.abs((ell / 1j).imag)) < 1e-9 * np.max(np.abs(ell)) else ell.real
-    ell = ell / np.linalg.norm(ell)
-    basis = []
-    for e in np.eye(3):
-        v = e - (ell @ e) * ell
-        for b in basis:
-            v = v - (b @ v) * b
-        n = np.linalg.norm(v)
-        if n > 0.3:
-            basis.append(v / n)
-        if len(basis) == 2:
-            break
-    frame = np.stack(basis, axis=1)
-    b3 = np.concatenate([o[:, None], frame], axis=1)
-    # adapt to the order-5 element Q P Q^-1 (it stabilizes the origin point
-    # and the line at infinity, so its chart action is exactly linear)
-    gens = generators_octahedral()
-    fr = bub_frame()
-    minv = np.asarray(fr.from_octahedral, dtype=complex)
-    m = np.asarray(fr.to_octahedral, dtype=complex)
-    q = np.asarray(gens["Q"], dtype=complex)
-    p5 = np.asarray(gens["P"], dtype=complex)
-    pp = (minv @ (q @ p5 @ np.linalg.inv(q)) @ m).real
-    cc = np.linalg.solve(b3, pp @ b3)
-    mm = cc[1:, 1:] / cc[0, 0]
-    # conjugate mm to an exact rotation: the realified eigenvector gives the
-    # adapted directions
-    ev, evec = np.linalg.eig(mm.astype(complex))
-    v = evec[:, 0]
-    sadapt = np.stack([v.real, v.imag], axis=1)
-    b3 = np.concatenate([o[:, None], frame @ sadapt], axis=1)
-
-    def chart_of(r):
-        c = np.linalg.solve(b3, r)
-        return c[1:] / c[0]
-
-    pts = np.array([chart_of(r) for r in reals])
-    radius = np.mean(np.linalg.norm(pts, axis=1))
-    b3[:, 1:] *= radius
-    pts = pts / radius
-    # rotation freedom: put the chart image of [1,0,0] on the positive axis
-    target = None
-    for i, r in enumerate(reals):
-        if fs_distance(r, np.array([1.0, 0, 0])) < 1e-8:
-            target = pts[i]
-    if target is None:
-        target = pts[0]
-    ang = np.arctan2(target[1], target[0])
-    rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-    b3[:, 1:] = b3[:, 1:] @ rot
-    pts = pts @ rot
-    return RP2Chart(b3, pts, np.array(reals), _pair_labels(reg, reals))
+    reals = np.array(reals)
+    c = np.linalg.solve(RP2_BASIS, reals.T)
+    return RP2Chart((c[1:] / c[0]).T, reals, _pair_labels(reg, reals))
 
 
 # --- conic slice ----------------------------------------------------------------

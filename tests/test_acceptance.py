@@ -116,7 +116,7 @@ def test_criterion_6_resolvent_oracle(reg, inv):
         count += 1
     worst_s = 0.0
     for _ in range(50):
-        z = curve_point(rng, inv, reg)
+        z = curve_point(rng, inv)
         got = monic_from_roots(oracle_roots_special(inv, z))
         ref = resolvent_tv(quotient_v(inv, z))
         nz = np.abs(ref) > 0
@@ -148,7 +148,7 @@ def test_criterion_7_table_validation(reg, inv):
         count += 1
     worst_v = 0.0
     for _ in range(20):
-        z = curve_point(rng, inv, reg)
+        z = curve_point(rng, inv)
         w = random_unit_points(rng, 1)
         tv = f6_special(quotient_v(inv, z)).eval_many(w)
         qv = fv_from_quotient(z, w, inv, reg)
@@ -197,7 +197,7 @@ def test_criterion_8_selector_fit(selector_general, selector_special, reg, inv):
         count += 1
     worst_s = 0.0
     for _ in range(50):
-        z = curve_point(rng, inv, reg)
+        z = curve_point(rng, inv)
         v = quotient_v(inv, z)
         w = random_unit_points(rng, 1)[0]
         direct, scale = gamma_direct(inv.conics_barred, sigma_frame(z, inv, reg), z, w,
@@ -252,7 +252,7 @@ def test_criterion_9_end_to_end_solving(reg, inv, selector_general, selector_spe
             successes += 1
     for k in range(n_special):
         while True:
-            z = curve_point(rng, inv, reg)
+            z = curve_point(rng, inv)
             v = quotient_v(inv, z)
             if 0.25 < abs(v) < 3.0 and abs(v - 1) > 0.15:
                 break

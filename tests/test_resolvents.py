@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from valentiner.equivariants import h19_exact
 from valentiner.errors import DegenerateParams, NotOnSexticCurve, OnSexticCurve
+from valentiner.invariants import exact_chain
 from valentiner.projective import fs_distance, normalize_point, random_unit_points
-from valentiner.resolvents import (curve_point, eval_monic, f6_general, f6_special,
+from valentiner.resolvents import (F64_COMBINATION, curve_point, eval_monic, f6_general, f6_special,
                                    frame_determinant_checks, fy_from_quotient,
                                    fv_from_quotient, instantiate_family,
                                    monic_from_roots, oracle_roots_general,
@@ -79,7 +83,7 @@ def test_vieta_sum(inv, rng):
 def test_resolvent_oracle_special(reg, inv, rng):
     worst = 0.0
     for _ in range(25):
-        z = curve_point(rng, inv, reg)
+        z = curve_point(rng, inv)
         got = monic_from_roots(oracle_roots_special(inv, z))
         ref = resolvent_tv(quotient_v(inv, z))
         nz = np.abs(ref) > 0
@@ -123,7 +127,7 @@ def test_fv_table_vs_quotient(reg, inv, rng):
     wpts = random_unit_points(rng, 4)
     worst = 0.0
     for _ in range(6):
-        z = curve_point(rng, inv, reg)
+        z = curve_point(rng, inv)
         tv = f6_special(quotient_v(inv, z)).eval_many(wpts)
         qv = fv_from_quotient(z, wpts, inv, reg)
         worst = max(worst, float(np.max(np.abs(tv - qv) / np.abs(qv))))
@@ -158,7 +162,7 @@ def test_family_general_conjugacy(reg, inv, rng):
     assert fs_distance(reg.h19(y1p / np.linalg.norm(y1p)), y2p) < 1e-7
     assert fs_distance(reg.h19(y2p / np.linalg.norm(y2p)), y1p) < 1e-7
     # the same conjugacy for the special family on the sextic curve
-    z = curve_point(rng, inv, reg)
+    z = curve_point(rng, inv)
     fam = instantiate_family((quotient_v(inv, z),), "special")
     _assert_frame_conjugate(fam, sigma_frame(z, inv, reg), reg, rng)
 
@@ -212,6 +216,25 @@ def test_family_special_weight_value():
     w_expected = -(8.0 / 3.0) * v ** 2 * (v - 1.0)
     bal = np.prod(fam.balance.astype(complex)) ** 2
     assert abs(fam.weight * fam.table_scale / bal - w_expected) < 1e-9 * abs(w_expected)
+
+
+def test_f64_combination_is_exact():
+    """F64_COMBINATION, its floats read back as fractions, is X45 f19 over the
+    integers: 810 sum coef F^a Phi^b Psi^c (cross map) = 810 X45 f19."""
+    f, phi, psi, x45, psi16, phi34, f40 = exact_chain()
+    cross = {"psi": psi16, "phi": phi34, "f": f40}
+    acc = [None] * 3
+    for coef, a, b, c, _, block in F64_COMBINATION:
+        frac = Fraction(coef).limit_denominator()
+        assert float(frac) == coef and (810 * frac).denominator == 1
+        inv = (f.pow(a) * phi.pow(b) * psi.pow(c)).scale(int(810 * frac))
+        for i, comp in enumerate(cross[block].components):
+            term = inv * comp
+            acc[i] = term if acc[i] is None else acc[i] + term
+    for got, f19 in zip(acc, h19_exact()[1]):
+        want = (x45 * f19).scale(810)
+        assert got.degree == want.degree == 64
+        assert list(got.coeffs) == list(want.coeffs)
 
 
 def test_component_cross_matches_numpy(rng):

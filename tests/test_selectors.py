@@ -50,7 +50,7 @@ def test_general_table_reproduces_direct_evaluation(selector_general, reg, inv, 
 def test_special_table_reproduces_direct_evaluation(selector_special, reg, inv, rng):
     worst = 0.0
     for _ in range(8):
-        z = curve_point(rng, inv, reg)
+        z = curve_point(rng, inv)
         v = quotient_v(inv, z)
         if not (0.25 < abs(v) < 4.0 and abs(v - 1) > 0.15):
             continue
@@ -81,7 +81,7 @@ def test_anchor_reports(selector_general, selector_special):
 def test_five_of_six_summands_vanish(reg, inv, rng):
     from valentiner.dynamics import polish_72point
 
-    z = curve_point(rng, inv, reg)
+    z = curve_point(rng, inv)
     v = quotient_v(inv, z)
     fam = instantiate_family((v,), "special")
     frame = sigma_frame(z, inv, reg)

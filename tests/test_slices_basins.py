@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from valentiner.basins import _MATCH_TOL, d5_symmetry_mismatch, render_basins
+from valentiner.frames import bub_frame
+from valentiner.group import generators_octahedral
 from valentiner.projective import fs_distance, fs_distances
-from valentiner.slices import conic_slice, restricted_psi16, rp2_chart
+from valentiner.slices import RP2_BASIS, conic_slice, restricted_psi16, rp2_chart
 
 
 def test_rp2_chart_geometry(reg, catalog):
@@ -22,6 +24,24 @@ def test_rp2_chart_geometry(reg, catalog):
                         [np.sin(2 * np.pi / 5), np.cos(2 * np.pi / 5)]]) @ a
         assert min(np.linalg.norm(ch.attractors - rot, axis=1)) < 1e-8
     assert sorted(set(ch.pair_label.tolist())) == [0, 1, 2, 3, 4]
+
+
+def test_rp2_basis_rotates_five_fold(reg, catalog):
+    """In RP2_BASIS the five-fold element Q P Q^-1 acts on chart coordinates
+    as the rotation by 72 degrees, the real 72-points lie on the unit circle,
+    and [1, 0, 0] sits at (1, 0)."""
+    gens, fr = generators_octahedral(), bub_frame()
+    q = np.asarray(gens["Q"], dtype=complex)
+    g = (np.asarray(fr.from_octahedral, dtype=complex) @ q @ np.asarray(gens["P"], dtype=complex)
+         @ np.linalg.inv(q) @ np.asarray(fr.to_octahedral, dtype=complex))
+    m = np.linalg.solve(RP2_BASIS, g @ RP2_BASIS)
+    m = m / m[0, 0]
+    c, s = np.cos(2 * np.pi / 5), np.sin(2 * np.pi / 5)
+    want = np.array([[1, 0, 0], [0, c, s], [0, -s, c]])
+    assert np.max(np.abs(m - want)) < 1e-12
+    ch = rp2_chart(reg, catalog)
+    assert np.max(np.abs(np.linalg.norm(ch.attractors, axis=1) - 1)) < 1e-12
+    assert np.max(np.abs(ch.to_chart([1.0, 0, 0]) - [1, 0])) < 1e-12
 
 
 def test_chart_roundtrip(reg, catalog, rng):
