@@ -163,19 +163,22 @@ def render_line45(catalog, resolution=180, max_iter=MAX_ITER, extent=2.0):
 def render_basins(slice_id, reg=None, catalog=None, resolution=180, max_iter=MAX_ITER, extent=2.0):
     from .equivariants import registry as _registry
 
-    reg = reg or _registry()
     if catalog is None:
         from .frames import bub_frame
         from .group import enumerate_group
+        from .invariants import build_invariants
         from .orbits import special_orbits
 
-        catalog = special_orbits(enumerate_group().conjugate_to_frame(bub_frame()), reg.inv)
+        inv = reg.inv if reg else build_invariants("bub22")
+        catalog = special_orbits(enumerate_group().conjugate_to_frame(bub_frame()), inv)
+    # the mirror-line map is exact and needs only the catalog, not h19
+    if slice_id == "line45":
+        return render_line45(catalog, resolution, max_iter, extent)
+    reg = reg or _registry()
     if slice_id == "rp2":
         return render_rp2(reg, catalog, resolution, max_iter, extent)
     if slice_id == "conic":
         return render_conic(reg, catalog, resolution, max_iter, extent)
-    if slice_id == "line45":
-        return render_line45(catalog, resolution, max_iter, extent)
     raise ValueError(slice_id)
 
 

@@ -30,9 +30,8 @@ from math import lcm
 
 import numpy as np
 
-from .context import CTX64
 from .errors import VanishingFailure
-from .frames import bub_frame
+from .frames import bub_frame, mpmath_constants
 from .hpoly import (EquivariantMap, HPoly, det3, divide_exact, eval_forms, exps, identity_times,
                     monomial_index, restrict_line)
 from .invariants import exact_chain
@@ -291,8 +290,9 @@ class K25Map:
 
         k(y) = s G grad F(conj(G) grad F(y)),    G = M^-1 M^-H,
 
-    evaluated pointwise in the dtype of grad F and G (complex128, or mpmath
-    objects for the selector fit); s makes |[z, h19(z), k(z)]| = -1458 X(z).
+    evaluated pointwise in the ring build_k25 takes from F: complex128, or
+    mpmath numbers at the ambient precision in the selector fit.  s makes
+    |[z, h19(z), k(z)]| = -1458 X(z).
     """
 
     degree = 25
@@ -311,14 +311,17 @@ class K25Map:
         return self.scale * (self.g @ np.array([c.eval(w) for c in self.grad_f]))
 
 
-def build_k25(f, h19, x45, ctx=CTX64):
-    """k25 in the lane of ctx, from bub22's F, h19 and X in that lane.
+def build_k25(f, h19, x45):
+    """k25 from bub22's F, h19 and X, in F's ring: mpmath at the ambient
+    precision when F has object coefficients, binary64 otherwise.
 
     The scale is calibrated once, at a fixed point, against -1458 X.
     """
-    minv = bub_frame(ctx).from_octahedral
+    exact = f.coeffs.dtype == object
+    minv = bub_frame(mp=exact).from_octahedral
     k = K25Map(f.grad(), minv @ np.conj(minv).T)
-    z = ctx.array([ctx.scalar(0.32, 0.11), ctx.scalar(-0.74, 0.41), ctx.scalar(0.52, -0.23)])
+    scalar = mpmath_constants()[2] if exact else complex
+    z = np.array([scalar(0.32, 0.11), scalar(-0.74, 0.41), scalar(0.52, -0.23)], dtype=scalar)
     k.scale = -1458 * x45.eval(z) / det3(np.stack([z, h19(z), k(z)], axis=1))
     return k
 

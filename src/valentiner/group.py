@@ -10,8 +10,8 @@ the 1080-element linear lift; projective deduplication gives the
 
 import numpy as np
 
-from .context import CTX64
 from .errors import ClosureOverflow
+from .frames import BINARY64, RHO, mpmath_constants
 from .hpoly import HPoly, inv3, monomial_index
 from .projective import first_unique
 
@@ -21,39 +21,36 @@ LIFT_ORDER = 1080
 
 # --- generators ---------------------------------------------------------------
 
-def generators_octahedral(ctx=CTX64):
-    """The generator set {Z, T, P, Q, Qbar} in octahedral coordinates."""
-    rho = ctx.rho
-    tau = ctx.tau
-    z = ctx.array([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
-    t = ctx.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    q = ctx.array([[1, 0, 0], [0, 0, rho * rho], [0, -rho, 0]])
-    qbar = ctx.array([[1, 0, 0], [0, 0, rho], [0, -rho * rho, 0]])
-    p = ctx.array([
+def generators_octahedral(mp=False):
+    """The generator set {Z, T, P, Q, Qbar} in octahedral coordinates; with
+    mp, in mpmath at its ambient precision."""
+    sqrt, rho, dtype = mpmath_constants() if mp else BINARY64
+    tau = (1 + sqrt(5)) / 2
+    z = np.array([[-1, 0, 0], [0, 1, 0], [0, 0, -1]], dtype=dtype)
+    t = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=dtype)
+    q = np.array([[1, 0, 0], [0, 0, rho * rho], [0, -rho, 0]], dtype=dtype)
+    qbar = np.array([[1, 0, 0], [0, 0, rho], [0, -rho * rho, 0]], dtype=dtype)
+    p = np.array([
         [1 / 2, 1 / (2 * tau), -tau / 2],
         [1 / (2 * tau), tau / 2, 1 / 2],
         [tau / 2, -1 / 2, 1 / (2 * tau)],
-    ])
+    ], dtype=dtype)
     return {"Z": z, "T": t, "P": p, "Q": q, "Qbar": qbar}
 
 
-def bub_antilinear_octahedral(ctx=CTX64):
+def bub_antilinear_octahedral():
     """Matrix B with bub(x) = B conj(x) in octahedral coordinates."""
-    rho = ctx.rho
-    tau = ctx.tau
-    return ctx.array([
-        [rho * rho, 0, -rho],
-        [0, -rho * (rho + tau), 0],
-        [-rho, 0, -1],
+    tau = (1 + np.sqrt(5)) / 2
+    return np.array([
+        [RHO * RHO, 0, -RHO],
+        [0, -RHO * (RHO + tau), 0],
+        [-RHO, 0, -1],
     ])
 
 
-def bub_antilinear_in_frame(frame, ctx=CTX64):
+def bub_antilinear_in_frame(frame):
     """bub as y -> K conj(y) in the given frame (x = M y)."""
-    b = np.asarray(bub_antilinear_octahedral(ctx), dtype=complex)
-    m = np.asarray(frame.to_octahedral, dtype=complex)
-    minv = np.asarray(frame.from_octahedral, dtype=complex)
-    return minv @ b @ np.conj(m)
+    return frame.from_octahedral @ bub_antilinear_octahedral() @ np.conj(frame.to_octahedral)
 
 
 # --- closure ------------------------------------------------------------------
@@ -146,7 +143,7 @@ def closure(gens, max_elements):
     return elems, words
 
 
-def enumerate_group(ctx=CTX64):
+def enumerate_group():
     """The closure of Z, T, P, Q, with projective representatives; a GroupTable.
 
     Dedup screens near pairs by blocked Gram products and confirms each by
@@ -154,9 +151,9 @@ def enumerate_group(ctx=CTX64):
     over the cube-root multiples for the canonical projective forms.  Order
     is first occurrence.  Raises ClosureOverflow past LIFT_ORDER elements.
     """
-    gens = generators_octahedral(ctx)
+    gens = generators_octahedral()
     lift, words = closure({k: gens[k] for k in ("Z", "T", "P", "Q")}, LIFT_ORDER)
-    rho = complex(ctx.rho)
+    rho = complex(RHO)
     canon = projective_canonical(lift, rho)
 
     def projective_distance(c, kept):
@@ -168,18 +165,18 @@ def enumerate_group(ctx=CTX64):
 
 # --- conic forms ----------------------------------------------------------------
 
-def conic_forms_octahedral(ctx=CTX64):
+def conic_forms_octahedral(mp=False):
     """The two systems of six conic forms in octahedral coordinates.
 
     Barred forms are orbit translates of x1^2 + x2^2 + x3^2; the unbarred
     system is spanned inside the barred one, anchored so the five-fold
-    generator P fixes the barred form 1 and the unbarred form 3.  Under a
-    high-precision context the forms carry mpmath coefficients computed at
-    the ambient mpmath precision.
+    generator P fixes the barred form 1 and the unbarred form 3.  With mp
+    the coefficients are mpmath numbers at the ambient precision.
     """
-    gens = generators_octahedral(ctx)
-    one = ctx.scalar(1)
-    c1 = HPoly.from_terms(2, {(2, 0, 0): one, (0, 2, 0): one, (0, 0, 2): one}, dtype=ctx.dtype)
+    _, rho, scalar = mpmath_constants() if mp else BINARY64
+    gens = generators_octahedral(mp)
+    one = scalar(1)
+    c1 = HPoly.from_terms(2, {(2, 0, 0): one, (0, 2, 0): one, (0, 0, 2): one}, dtype=scalar)
     qinv = inv3(gens["Q"])
     pinv = inv3(gens["P"])
     c2 = c1.compose_linear(qinv)
@@ -188,7 +185,7 @@ def conic_forms_octahedral(ctx=CTX64):
         m = np.linalg.matrix_power(pinv, k)
         barred.append(c2.compose_linear(m))
     # barred order: [C1, C2, C3, C4, C5, C6]
-    u3 = barred[0].scale(ctx.rho)
+    u3 = barred[0].scale(rho)
     for b in barred[1:]:
         u3 = u3 + b
     u2 = u3.compose_linear(qinv)

@@ -19,9 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .context import CTX64
 from .errors import NormalizationFailure
-from .frames import bub_frame, frame_by_name
+from .frames import RHO, bub_frame, frame_by_name
 from .group import conic_forms_octahedral, transport_conics
 from .hpoly import (HPoly, bordered_hessian_det, eval_forms, grad_cross, hessian_det,
                     jacobian_det, monomial_index)
@@ -96,7 +95,7 @@ def _g48_from(f, phi):
     return acc.scale(G48_SCALE)
 
 
-def build_invariants(frame_name="bub22", ctx=CTX64):
+def build_invariants(frame_name="bub22"):
     """Invariant system in the requested frame.
 
     bub22 carries the exact integer tables.  Any other frame gets its
@@ -105,17 +104,16 @@ def build_invariants(frame_name="bub22", ctx=CTX64):
     from it through the differential determinants, so the alpha constants
     stay literally true in every frame.
     """
-    frame = frame_by_name(frame_name, ctx)
-    barred_o, unbarred_o = conic_forms_octahedral(ctx)
+    frame = frame_by_name(frame_name)
+    barred_o, unbarred_o = conic_forms_octahedral()
     f_x, phi_x, psi_x, x45_x = exact_chain()[:4]
     if frame_name == "bub22":
         fh, phih, psih, xh, g48 = (p.astype(complex) for p in
                                    (f_x, phi_x, psi_x, x45_x, _g48_from(f_x, phi_x)))
         tb, tu = transport_conics(barred_o, unbarred_o, frame, normalize_bub=True)
     else:
-        bub = bub_frame(ctx)
         # bub coordinates of a point with frame coordinates y': y = M_bub^-1 M_frame y'
-        m = np.asarray(bub.from_octahedral, dtype=complex) @ np.asarray(frame.to_octahedral, dtype=complex)
+        m = bub_frame().from_octahedral @ frame.to_octahedral
         fh = f_x.astype(complex).compose_linear(m)
         # anchor: unit coefficient on the pure power of the first coordinate
         lead = fh.coeffs[monomial_index(6, (6, 0, 0))]
@@ -164,7 +162,7 @@ def verify_relations(inv, n_points=200, seed=0, rel_tol=1e-7):
     rng = np.random.default_rng(seed)
     pts = random_unit_points(rng, n_points)
     v = _eval_products(inv, pts)
-    rho = complex(CTX64.rho)
+    rho = complex(RHO)
     s15 = 1j * np.sqrt(15.0)
     report = {"identities": [], "pass": True}
 

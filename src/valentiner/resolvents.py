@@ -37,6 +37,7 @@ What is built how often:
 import functools
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -61,15 +62,18 @@ ETA_FV = 2.0 ** 11 * 3.0 ** 18              # F_V = F(sigma_z(C w)) / (eta Phi^2
 # simplifying w-substitutions under which the cached tables are stated:
 # the published arrow notation replaces the original coordinates by linear
 # forms, so the table's frame is tau composed with the INVERSE of the
-# substitution matrix.
-W_SUBST_Y = np.array([[8.0, -92.0, 800.0], [2.0, -104.0, 128.0], [0.0, 0.0, 6.0]])
+# substitution matrix.  Both are stated exactly, for the selector fit at its
+# own precision; the binary64 changes are derived from them.
+W_SUBST_Y = np.array([[8, -92, 800], [2, -104, 128], [0, 0, 6]])
 W_CHANGE_Y = np.linalg.inv(W_SUBST_Y)
 # The special-case frame change was recovered from the degenerate fibers of
 # the family (quintuple-line fiber at V = 0, quadruple-line at V = inf) and
 # Gauss-Newton refinement; it does not match any reading of the published
 # substitution, but the resulting identity-part coefficient of the special
 # 19-map comes out at the published 11520 V^4 (V-1)^2, confirming it.
-W_CHANGE_V = np.array([[16 / 3.0, 0, -10 / 3.0], [0, 4.0, 0], [1.0, 0, -1.0]])
+W_CHANGE_V_EXACT = np.array([[Fraction(16, 3), 0, Fraction(-10, 3)], [0, 4, 0], [1, 0, -1]],
+                            dtype=object)
+W_CHANGE_V = W_CHANGE_V_EXACT.astype(float)
 
 # |tau_z|^2 = 432 F^25 sum TAU_DET_POLY[(a,b)] Y1^a Y2^b  (before the w-change;
 # the change multiplies the determinant by det(W_CHANGE_Y) = -3888).
@@ -79,8 +83,6 @@ W_CHANGE_V = np.array([[16 / 3.0, 0, -10 / 3.0], [0, 4.0, 0], [1.0, 0, -1.0]])
 
 
 def _tau_det_poly():
-    from fractions import Fraction
-
     from .invariants import X_SQUARED_TABLE
 
     out = {}

@@ -39,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .context import high_context
 from .errors import FitResidualTooLarge, ValentinerError
 from .hpoly import EquivariantMap, exps, inv3
 
@@ -185,20 +184,19 @@ def select_root(table, fam, p_internal, coeffs):
 # --- high-precision fit machinery -------------------------------------------------
 
 
-def _mp_setup(dps):
-    """Fit ingredients at mp precision; call inside mpmath.workdps(dps)."""
+def _mp_setup():
+    """Fit ingredients at mpmath's ambient precision, which the fit sets."""
     from .equivariants import build_k25, h19_exact
     from .frames import bub_frame
     from .group import conic_forms_octahedral, transport_conics
     from .invariants import exact_chain
 
-    ctx = high_context(dps)
-    barred_o, unbarred_o = conic_forms_octahedral(ctx)
-    tb, tu = transport_conics(barred_o, unbarred_o, bub_frame(ctx), normalize_bub=True)
+    barred_o, unbarred_o = conic_forms_octahedral(mp=True)
+    tb, tu = transport_conics(barred_o, unbarred_o, bub_frame(mp=True), normalize_bub=True)
     f, phi, psi, x45 = exact_chain()[:4]
     h19 = EquivariantMap(h19_exact()[0])
     return {"barred": tb, "unbarred": tu, "F": f, "gradF": f.grad(), "Phi": phi, "Psi": psi,
-            "h19": h19, "k25": build_k25(f, h19, x45, ctx)}
+            "h19": h19, "k25": build_k25(f, h19, x45)}
 
 
 def _onto_sextic_mp(setup, z):
@@ -222,10 +220,9 @@ def _w_change_mp(case):
 
     import mpmath
 
-    if case == "general":
-        rows = inv3(np.array([[8, -92, 800], [2, -104, 128], [0, 0, 6]], dtype=object) * Fraction(1))
-    else:
-        rows = [[Fraction(16, 3), 0, Fraction(-10, 3)], [0, 4, 0], [1, 0, -1]]
+    from .resolvents import W_CHANGE_V_EXACT, W_SUBST_Y
+
+    rows = inv3(W_SUBST_Y.astype(object) * Fraction(1)) if case == "general" else W_CHANGE_V_EXACT
     return np.array([[mpmath.mpc(mpmath.mpf(Fraction(r).numerator) / Fraction(r).denominator)
                       for r in row] for row in rows], dtype=object)
 
@@ -302,7 +299,7 @@ def fit_selectors(case="general", progress=None):
     nb = len(basis)
     zs = _sample_points(case, 2 * nb + 40 if case == "general" else 42, FIT_SEED)
     with mpmath.workdps(FIT_DPS):
-        setup = _mp_setup(FIT_DPS)
+        setup = _mp_setup()
         rows, targets, params_list = [], [], []
         for i, z in enumerate(zs):
             zmp = np.array([mpmath.mpc(c) for c in z], dtype=object)

@@ -11,8 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from valentiner.context import CTX64
-from valentiner.frames import bub_frame
+from valentiner.frames import RHO, bub_frame
 from valentiner.group import conic_permutation, enumerate_group, generators_octahedral
 from valentiner.molien import group_elements
 from valentiner.orbits import special_orbits
@@ -57,7 +56,7 @@ def _oracle_canonical(m, rho):
 
 
 def _oracle_projective(lift):
-    rho = complex(CTX64.rho)
+    rho = complex(RHO)
     proj = []
     for m in lift:
         c = _oracle_canonical(m, rho)

@@ -136,6 +136,8 @@ def test_reproducers_converge_to_true_roots(y1, y2, seed, selector_general):
 
 
 def test_solving_from_shipped_table_does_not_load_mpmath():
+    # nor does building the binary64 registry, group, orbit catalog or a
+    # basin render: only the selector fit computes in mpmath
     import os
     import subprocess
     import sys
@@ -152,6 +154,13 @@ def test_solving_from_shipped_table_does_not_load_mpmath():
         "r = solve_resolvent((0.7 + 0.2j, 1.1 - 0.3j), 'general', IterationConfig(seed=0),\n"
         "                    load_or_fit_selectors('general'))\n"
         "assert r.converged\n"
+        "from valentiner.basins import render_basins\n"
+        "from valentiner.equivariants import registry\n"
+        "from valentiner.frames import bub_frame\n"
+        "from valentiner.group import enumerate_group\n"
+        "from valentiner.orbits import special_orbits\n"
+        "catalog = special_orbits(enumerate_group().conjugate_to_frame(bub_frame()), registry().inv)\n"
+        "render_basins('line45', registry(), catalog, resolution=16)\n"
         "print('mpmath' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from valentiner.context import CTX64, high_context
 from valentiner.frames import bub_frame, fricke_frame, frame_by_name, icosahedral_frame
 from valentiner.group import (bub_antilinear_in_frame, bub_antilinear_octahedral,
                               conic_forms_octahedral, conic_permutation,
@@ -176,7 +175,31 @@ def test_bub_frame_anchors(rng):
 
 
 def test_high_precision_frame_agrees():
-    fr = bub_frame()
-    frh = bub_frame(high_context(40))
-    mh = np.array([[complex(x) for x in row] for row in frh.to_octahedral])
-    assert np.max(np.abs(np.asarray(fr.to_octahedral, dtype=complex) - mh)) < 1e-14
+    # every function with an mp switch, at 40 digits, against binary64
+    import mpmath
+
+    from valentiner.equivariants import build_k25, h19_exact, registry
+    from valentiner.hpoly import EquivariantMap
+    from valentiner.invariants import exact_chain
+
+    def rel(hi, lo):
+        hi = np.array([complex(x) for x in np.ravel(hi)])
+        lo = np.ravel(np.asarray(lo, dtype=complex))
+        return np.max(np.abs(hi - lo)) / np.max(np.abs(lo))
+
+    with mpmath.workdps(40):
+        frh = bub_frame(mp=True)
+        gens = generators_octahedral(mp=True)
+        conics = conic_forms_octahedral(mp=True)
+        f, _, _, x45 = exact_chain()[:4]
+        k25 = build_k25(f, EquivariantMap(h19_exact()[0]), x45)
+        pts = np.random.default_rng(5).standard_normal((3, 3, 2)) @ np.array([1, 1j])
+        k_mp = [k25(np.array([mpmath.mpc(c) for c in p], dtype=object)) for p in pts]
+    assert np.max(np.abs(bub_frame().to_octahedral - np.array(
+        [[complex(x) for x in row] for row in frh.to_octahedral]))) < 1e-14
+    gens64 = generators_octahedral()
+    assert max(rel(gens[k], gens64[k]) for k in gens64) < 1e-13
+    for hi, lo in zip(conics, conic_forms_octahedral()):
+        assert max(rel(a.coeffs, b.coeffs) for a, b in zip(hi, lo)) < 1e-13
+    reg = registry()
+    assert max(rel(k, reg.k25(p)) for k, p in zip(k_mp, pts)) < 1e-13

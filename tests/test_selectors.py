@@ -175,7 +175,7 @@ def test_fit_ingredients_match_shipped_table(case, selector_general, selector_sp
     table = selector_general if case == "general" else selector_special
     (z,) = _sample_points(case, 1, 1234)
     with mpmath.workdps(30):
-        setup = _mp_setup(30)
+        setup = _mp_setup()
         zmp = np.array([mpmath.mpc(c) for c in z], dtype=object)
         if case == "special":
             zmp = _onto_sextic_mp(setup, zmp)

@@ -163,6 +163,27 @@ def test_line45_basins(reg, catalog):
     assert len(set(np.unique(grid.labels)) - {-1}) == 4
 
 
+def test_cold_line45_render_does_not_build_h19():
+    # the mirror-line render needs the orbit catalog and the integer psi16,
+    # never the degree-19 map: a fresh interpreter must leave h19 unbuilt
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import valentiner
+
+    src = str(Path(list(valentiner.__path__)[0]).resolve().parent)
+    code = ("from valentiner.basins import render_basins\n"
+            "from valentiner.equivariants import h19_exact\n"
+            "grid = render_basins('line45', resolution=16, max_iter=60)\n"
+            "assert len(set(grid.labels.ravel().tolist()) - {-1}) == 4\n"
+            "print(h19_exact.cache_info().currsize)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), cwd=src, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
+
+
 def test_ppm_output(tmp_path, reg, catalog):
     grid = render_basins("rp2", reg, catalog, resolution=32, max_iter=60)
     path = tmp_path / "out.ppm"
